@@ -45,7 +45,6 @@ from .spectrum import (
     EigenMode,
     StabilityReport,
     first_even_eigenvalue,
-    geodesic_sphere_margin,
     laplace_eigenvalue,
     stability_interval,
     stability_margin,
@@ -84,7 +83,6 @@ __all__ = [
     "curvature",
     "energy_minimum",
     "first_even_eigenvalue",
-    "geodesic_sphere_margin",
     "laplace_eigenvalue",
     "log_gamma",
     "logf_second_derivative",

@@ -12,8 +12,11 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import verify as verify_mod
 from .clifford import CliffordShape
@@ -24,7 +27,7 @@ from .profile import (
     total_volume,
     transition_volumes,
 )
-from .spectrum import stability_interval, stability_report
+from .spectrum import stability_report
 from .specfn import QuadratureError, sphere_area
 from .willmore import clifford_area_f, width_candidate, willmore_report
 
@@ -137,22 +140,20 @@ def _cmd_stability(config: RunConfig, stdout) -> int:
     n1 = config.extras["n1"]
     n2 = config.extras["n2"]
     scan = config.samples
-    lo, hi = stability_interval(n1, n2)
-    rows = []
-    for i in range(1, scan + 1):
-        r = 0.5 * math.pi * i / (scan + 1)
-        report = stability_report(CliffordShape(n1, n2, r))
-        rows.append(
-            [r, report.lambda1, report.margin, bool(lo <= r <= hi)]
-        )
+    rs = 0.5 * math.pi * np.arange(1, scan + 1) / (scan + 1)
+    report = stability_report(CliffordShape(n1, n2, rs))
+    inside = (report.interval_lo <= rs) & (rs <= report.interval_hi)
+    rows = list(
+        zip(rs.tolist(), report.lambda1.tolist(), report.margin.tolist(), inside.tolist())
+    )
     if config.output_format == "csv":
         text = _csv(["r", "lambda1", "margin", "in_interval"], rows)
     else:
         text = _json_report(
             config,
             {
-                "interval_lo": lo,
-                "interval_hi": hi,
+                "interval_lo": report.interval_lo,
+                "interval_hi": report.interval_hi,
                 "points": [
                     {
                         "r": r,
@@ -261,6 +262,8 @@ def _parse_tolerance(text: str) -> tuple[str, float]:
         value = float(raw)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad tolerance value in {text!r}") from exc
+    if not (value > 0.0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"tolerance must be positive and finite: {text!r}")
     if name not in verify_mod.DEFAULT_TOLERANCES:
         known = ", ".join(sorted(verify_mod.DEFAULT_TOLERANCES))
         raise argparse.ArgumentTypeError(
@@ -353,6 +356,8 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
 
 
 def _validate(config: RunConfig, parser: argparse.ArgumentParser) -> None:
+    if config.output_path and not os.path.isdir(os.path.dirname(config.output_path) or "."):
+        parser.error(f"--out directory does not exist: {config.output_path}")
     if config.command in ("profile", "transitions"):
         minimum = 2 if config.command == "profile" else 3
         if config.ambient_dim is None or config.ambient_dim < minimum:

@@ -5,13 +5,16 @@ n2-sphere of radius sin r, sitting at latitude r inside S^(n+1) with
 n = n1 + n2.  Principal curvatures with respect to the unit normal that
 points toward growing r are -tan r on the first factor and cot r on the
 second, so the shape operator satisfies A^2 - beta0 A - Id = 0 with
-beta0 = cot r - tan r.
+beta0 = cot r - tan r.  With a 1-D array of latitudes, curvature and the
+areas answer per element, equal bit for bit to the scalar calls.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .specfn import sphere_area
 
@@ -34,12 +37,16 @@ class CliffordShape:
 
     Factor dimensions may be zero (a geodesic sphere about a lower
     dimensional core) but not both; the latitude r must be strictly
-    between 0 and pi/2 so neither factor collapses.
+    between 0 and pi/2 so neither factor collapses.  r is a float or a
+    1-D float array (a read-only copy is kept, and such a shape supports
+    neither == nor hash); cos_r and sin_r are evaluated once, here.
     """
 
     n1: int
     n2: int
-    r: float
+    r: float | np.ndarray
+    cos_r: float | np.ndarray = field(init=False, repr=False, compare=False)
+    sin_r: float | np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name, value in (("n1", self.n1), ("n2", self.n2)):
@@ -49,10 +56,20 @@ class CliffordShape:
                 raise ValueError(f"{name} must be >= 0, got {value}")
         if self.n1 + self.n2 < 1:
             raise ValueError("n1 + n2 must be at least 1")
-        r = float(self.r)
-        if not (0.0 < r < _HALF_PI):
-            raise ValueError(f"latitude must lie in (0, pi/2), got {r}")
+        if isinstance(self.r, np.ndarray):
+            r = np.array(self.r, dtype=float)
+            r.flags.writeable = False
+            valid = r.ndim == 1 and bool(np.all((0.0 < r) & (r < _HALF_PI)))
+            trig = np
+        else:
+            r = float(self.r)
+            valid = 0.0 < r < _HALF_PI
+            trig = math
+        if not valid:
+            raise ValueError(f"latitude must be a float or 1-D array in (0, pi/2), got {r}")
         object.__setattr__(self, "r", r)
+        object.__setattr__(self, "cos_r", trig.cos(r))
+        object.__setattr__(self, "sin_r", trig.sin(r))
 
     @property
     def n(self) -> int:
@@ -73,21 +90,21 @@ class CurvatureData:
     coefficient in A^2 + beta A - Id = 0.
     """
 
-    kappa1: float
+    kappa1: float | np.ndarray
     mult1: int
-    kappa2: float
+    kappa2: float | np.ndarray
     mult2: int
-    mean: float
-    norm_sq: float
-    beta: float
+    mean: float | np.ndarray
+    norm_sq: float | np.ndarray
+    beta: float | np.ndarray
 
 
 def curvature(shape: CliffordShape) -> CurvatureData:
     """Principal curvature data of the shape for the outward (increasing r)
     unit normal: kappa1 = -tan r on the cos r factor, kappa2 = cot r on the
     sin r factor."""
-    s = math.sin(shape.r)
-    c = math.cos(shape.r)
+    s = shape.sin_r
+    c = shape.cos_r
     kappa1 = -s / c
     kappa2 = c / s
     n = shape.n
@@ -105,22 +122,27 @@ def curvature(shape: CliffordShape) -> CurvatureData:
     )
 
 
-def area_sphere(shape: CliffordShape) -> float:
+def _power(x: float | np.ndarray, p: float) -> float | np.ndarray:
+    """x**p by numpy for floats and arrays alike: Python's float power
+    rounds differently from numpy's in about one call in twenty."""
+    y = np.power(x, p)
+    return y if isinstance(x, np.ndarray) else float(y)
+
+
+def area_sphere(shape: CliffordShape) -> float | np.ndarray:
     """n-dimensional area of the shape inside the unit sphere:
 
         |S^n1| |S^n2| cos^n1(r) sin^n2(r).
     """
-    c = math.cos(shape.r)
-    s = math.sin(shape.r)
     return (
         sphere_area(shape.n1)
         * sphere_area(shape.n2)
-        * c**shape.n1
-        * s**shape.n2
+        * _power(shape.cos_r, shape.n1)
+        * _power(shape.sin_r, shape.n2)
     )
 
 
-def area_rp(shape: CliffordShape) -> float:
+def area_rp(shape: CliffordShape) -> float | np.ndarray:
     """Area of the image in real projective space, where the antipodal map
     identifies the surface with itself two to one."""
     return 0.5 * area_sphere(shape)
@@ -134,14 +156,14 @@ def parallel_jacobian(shape: CliffordShape, t: float) -> float:
     equal to the product of (cos t + kappa_i sin t) over principal
     curvatures.  Vanishes exactly at the focal latitudes r + t = 0 and
     r + t = pi/2 when the collapsing factor has positive dimension, and may
-    be negative past them.
+    be negative past them.  Scalar latitudes only.
     """
     t = float(t)
     latitude = shape.r + t
     if latitude == _HALF_PI and shape.n1 > 0:
         return 0.0
-    c_ratio = math.cos(latitude) / math.cos(shape.r)
-    s_ratio = math.sin(latitude) / math.sin(shape.r)
+    c_ratio = math.cos(latitude) / shape.cos_r
+    s_ratio = math.sin(latitude) / shape.sin_r
     return c_ratio**shape.n1 * s_ratio**shape.n2
 
 

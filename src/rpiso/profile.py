@@ -13,8 +13,9 @@ Enclosed volume has the closed form
 
 with I the regularized incomplete beta, which is also what the direct
 integral (1/2) |S^k| |S^(n-k)| cossin_integral(k, n-k, r) evaluates to.
-All grid paths reuse one vectorized bisection so that batched and scalar
-queries agree exactly.
+profile_at and profile_curve share _envelope and so agree bit for bit;
+tube_volume and radius_for_volume use the scalar incomplete beta, which
+agrees with the batched one to a few ulp.
 """
 
 from __future__ import annotations
@@ -137,12 +138,9 @@ def tube_volume(fam: TubeFamily, r: float) -> float:
     return total_volume(fam.ambient_dim, fam.space) * frac
 
 
-def tube_perimeter(fam: TubeFamily, r: float) -> float:
+def tube_perimeter(fam: TubeFamily, r: float | np.ndarray) -> float | np.ndarray:
     """Area of the latitude-r tube boundary, a Clifford shape of factor
-    dimensions (k, n - k)."""
-    r = float(r)
-    if not (0.0 < r < _HALF_PI):
-        raise ValueError(f"radius must lie in (0, pi/2), got {r}")
+    dimensions (k, n - k); r may be a 1-D array of latitudes."""
     shape = CliffordShape(fam.k, fam.n - fam.k, r)
     if fam.space is Space.SPHERE_ANTIPODAL:
         return area_sphere(shape)
@@ -202,12 +200,18 @@ def _radii_for_fractions(n: int, k: int, v_frac: np.ndarray) -> np.ndarray:
     raise RuntimeError(f"volume bisection failed to converge for k={k}")
 
 
-def _perimeters_at(n: int, k: int, r: np.ndarray, space: Space) -> np.ndarray:
-    """Tube boundary areas C_k cos^k(r) sin^(n-k)(r) on an array of radii."""
-    coeff = sphere_area(k) * sphere_area(n - k)
-    if space is Space.PROJECTIVE:
-        coeff *= 0.5
-    return coeff * np.cos(r) ** k * np.sin(r) ** (n - k)
+def _tube_table(
+    ambient_dim: int, volumes: np.ndarray, space: Space
+) -> tuple[np.ndarray, np.ndarray]:
+    """(perimeter, radius) arrays of shape (n + 1, volumes.size): row k
+    holds tube family k at each volume."""
+    n = ambient_dim - 1
+    v_frac = np.asarray(volumes, dtype=float) / total_volume(ambient_dim, space)
+    radii = np.array([_radii_for_fractions(n, k, v_frac) for k in range(n + 1)])
+    perims = np.array(
+        [tube_perimeter(TubeFamily(ambient_dim, k, space), radii[k]) for k in range(n + 1)]
+    )
+    return perims, radii
 
 
 def _envelope(
@@ -217,17 +221,9 @@ def _envelope(
 
     Returns (best_k, perimeter, radius) arrays; ties pick the smallest k.
     """
-    n = ambient_dim - 1
-    total = total_volume(ambient_dim, space)
-    v_frac = np.asarray(volumes, dtype=float) / total
-    perims = np.empty((n + 1, v_frac.size))
-    radii = np.empty((n + 1, v_frac.size))
-    for k in range(n + 1):
-        rk = _radii_for_fractions(n, k, v_frac)
-        radii[k] = rk
-        perims[k] = _perimeters_at(n, k, rk, space)
+    perims, radii = _tube_table(ambient_dim, volumes, space)
     best = np.argmin(perims, axis=0)
-    cols = np.arange(v_frac.size)
+    cols = np.arange(perims.shape[1])
     return best, perims[best, cols], radii[best, cols]
 
 
@@ -283,7 +279,8 @@ def _perimeter_gap(
 
 
 def _bisect_crossing(gap, lo: float, hi: float, tol: float) -> float:
-    """Root of a sign-changing function on [lo, hi] by plain bisection."""
+    """Root of a sign-changing function on [lo, hi] by plain bisection;
+    CrossingNotFound if _MAX_BISECT steps leave the bracket wider than tol."""
     g_lo = gap(lo)
     g_hi = gap(hi)
     if g_lo == 0.0:
@@ -306,7 +303,7 @@ def _bisect_crossing(gap, lo: float, hi: float, tol: float) -> float:
             g_lo = g_mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    raise CrossingNotFound(f"[{lo}, {hi}] still wider than {tol} after {_MAX_BISECT} steps")
 
 
 _SCAN_POINTS = 1024
@@ -320,16 +317,13 @@ def transition_volumes(
     For each k the perimeter gap P_k - P_{k+1} is sampled on a coarse
     volume grid to bracket its sign change, then bisected to VOLUME_TOL of
     the total volume.  Raises CrossingNotFound if some adjacent pair never
-    exchanges optimality, which would break the successive ordering.
+    exchanges optimality, or if the handoff volumes do not strictly
+    increase with k: either would break the successive ordering.
     """
     total = total_volume(ambient_dim, space)
     n = ambient_dim - 1
     grid = _volume_grid(total, _SCAN_POINTS)
-    v_frac = grid / total
-    perims = np.empty((n + 1, grid.size))
-    for k in range(n + 1):
-        rk = _radii_for_fractions(n, k, v_frac)
-        perims[k] = _perimeters_at(n, k, rk, space)
+    perims, _ = _tube_table(ambient_dim, grid, space)
     tol = VOLUME_TOL * total
     out: list[tuple[int, int, float]] = []
     for k in range(n):
@@ -349,8 +343,9 @@ def transition_volumes(
             float(grid[i + 1]),
             tol,
         )
+        if out and v_star <= out[-1][2]:
+            raise CrossingNotFound(f"handoff volume {v_star} for k={k} is not above {out[-1]}")
         out.append((k, k + 1, v_star))
-    out.sort(key=lambda item: item[2])
     return out
 
 

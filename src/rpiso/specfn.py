@@ -7,9 +7,10 @@ function (Lentz continued fraction with the usual symmetry switch), and an
 adaptive Gauss-Legendre integrator for cos^a(t) sin^b(t) integrands.
 
 Everything here is deterministic and depends only on ``math`` and ``numpy``.
-The vectorized continued-fraction variants mirror the scalar code operation
-for operation, with per-element convergence freezing, so batched evaluation
-produces exactly the same doubles as repeated scalar calls.
+The vectorized incomplete-beta variants mirror the scalar code operation
+for operation, with per-element convergence freezing.  They agree with
+repeated scalar calls to a few ulp, not bit for bit: numpy's log and exp
+round differently from math's.
 """
 
 from __future__ import annotations
@@ -193,8 +194,8 @@ def _betacf(a: float, b: float, x: float) -> float:
 
 
 def _betacf_vec(a: float, b: float, x: np.ndarray) -> np.ndarray:
-    """Vectorized _betacf.  Converged elements freeze, so each element of
-    the result equals the corresponding scalar call bit for bit."""
+    """Vectorized _betacf.  Converged elements freeze, and the fraction uses
+    only + - * /, so each element equals the scalar call bit for bit."""
     x = np.asarray(x, dtype=float)
     qab = a + b
     qap = a + 1.0
@@ -252,7 +253,11 @@ def _betainc_xc(x: float, xc: float, a: float, b: float) -> float:
 
 
 def _betainc_xc_vec(x: np.ndarray, xc: np.ndarray, a: float, b: float) -> np.ndarray:
-    """Vectorized _betainc_xc; elementwise identical to the scalar path."""
+    """Vectorized _betainc_xc.  The prefactor goes through numpy's log and
+    exp, so elements agree with the scalar path to a few ulp only.  The
+    scalar twin stays for speed: a size-1 call here costs 89 us against
+    6.6 us for _betainc_xc (x86-64, numpy 2.4), which scalar queries pay.
+    """
     x = np.asarray(x, dtype=float)
     xc = np.asarray(xc, dtype=float)
     out = np.empty(x.shape, dtype=float)

@@ -8,13 +8,16 @@ spherical harmonics of degrees (k1, k2), with Laplace eigenvalue
 A mode descends to real projective space exactly when k1 + k2 is even.
 The shape is a stable two-sided critical point of area among
 antipodally-symmetric variations iff the first positive even eigenvalue
-is at least n + |A|^2.
+is at least n + |A|^2.  A shape with a 1-D array of latitudes gets an
+answer per element, equal bit for bit to the scalar calls.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .clifford import CliffordShape, curvature
 
@@ -25,7 +28,6 @@ __all__ = [
     "first_even_eigenvalue",
     "stability_margin",
     "stability_interval",
-    "geodesic_sphere_margin",
     "stability_report",
 ]
 
@@ -41,11 +43,12 @@ _EVEN_CANDIDATES = ((1, 1), (2, 0), (0, 2))
 
 @dataclass(frozen=True)
 class EigenMode:
-    """One separated eigenmode: factor degrees and its Laplace eigenvalue."""
+    """One separated eigenmode: factor degrees and its Laplace eigenvalue
+    (integer and float arrays for an array-valued shape)."""
 
-    k1: int
-    k2: int
-    value: float
+    k1: int | np.ndarray
+    k2: int | np.ndarray
+    value: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -59,14 +62,14 @@ class StabilityReport:
 
     shape: CliffordShape
     mode: EigenMode
-    lambda1: float
-    margin: float
-    stable: bool
+    lambda1: float | np.ndarray
+    margin: float | np.ndarray
+    stable: bool | np.ndarray
     interval_lo: float
     interval_hi: float
 
 
-def laplace_eigenvalue(shape: CliffordShape, k1: int, k2: int) -> float:
+def laplace_eigenvalue(shape: CliffordShape, k1: int, k2: int) -> float | np.ndarray:
     """Laplace eigenvalue of the degree-(k1, k2) product harmonic.
 
     A factor of dimension zero carries only the constant and sign
@@ -81,8 +84,8 @@ def laplace_eigenvalue(shape: CliffordShape, k1: int, k2: int) -> float:
             raise ValueError(
                 f"{name}={value} has no harmonic on a 0-dimensional factor"
             )
-    c = math.cos(shape.r)
-    s = math.sin(shape.r)
+    c = shape.cos_r
+    s = shape.sin_r
     return k1 * (k1 + shape.n1 - 1) / (c * c) + k2 * (k2 + shape.n2 - 1) / (s * s)
 
 
@@ -95,16 +98,18 @@ def first_even_eigenvalue(shape: CliffordShape) -> EigenMode:
     """
     if shape.n1 < 1 or shape.n2 < 1:
         raise ValueError("first_even_eigenvalue requires n1 >= 1 and n2 >= 1")
-    best: EigenMode | None = None
-    for k1, k2 in _EVEN_CANDIDATES:
-        value = laplace_eigenvalue(shape, k1, k2)
-        if best is None or value < best.value:
-            best = EigenMode(k1=k1, k2=k2, value=value)
-    assert best is not None
-    return best
+    values = [laplace_eigenvalue(shape, k1, k2) for k1, k2 in _EVEN_CANDIDATES]
+    if isinstance(shape.r, np.ndarray):
+        # argmin takes the first of equal values, keeping the tie order.
+        i = np.argmin(values, axis=0)
+        k1, k2 = np.array(_EVEN_CANDIDATES).T[:, i]
+        return EigenMode(k1=k1, k2=k2, value=np.choose(i, values))
+    i = values.index(min(values))
+    k1, k2 = _EVEN_CANDIDATES[i]
+    return EigenMode(k1=k1, k2=k2, value=values[i])
 
 
-def stability_margin(shape: CliffordShape) -> float:
+def stability_margin(shape: CliffordShape) -> float | np.ndarray:
     """First positive even eigenvalue minus the Jacobi potential n + |A|^2.
 
     Nonnegative exactly on the closed interval returned by
@@ -112,9 +117,7 @@ def stability_margin(shape: CliffordShape) -> float:
     every latitude, so the margin is never strictly positive; inside the
     interval it is identically zero.
     """
-    data = curvature(shape)
-    lam = first_even_eigenvalue(shape).value
-    return lam - shape.n - data.norm_sq
+    return stability_report(shape).margin
 
 
 def stability_interval(n1: int, n2: int) -> tuple[float, float]:
@@ -133,31 +136,10 @@ def stability_interval(n1: int, n2: int) -> tuple[float, float]:
     return lo, hi
 
 
-def geodesic_sphere_margin(n: int, r: float) -> float:
-    """Stability margin of the geodesic sphere of radius r in projective
-    space, which is zero identically.
-
-    The lifted surface is a pair of antipodal round spheres that the deck
-    map swaps, so no parity constraint applies and the relevant eigenvalue
-    is the degree-1 value n/sin^2 r.  The Jacobi potential is
-    n + n cot^2 r = n/sin^2 r as well, so the margin cancels exactly at
-    every radius: geodesic spheres are degenerate-stable throughout.
-    """
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"n must be an integer, got {n!r}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    r = float(r)
-    if not (0.0 < r < 0.5 * math.pi):
-        raise ValueError(f"radius must lie in (0, pi/2), got {r}")
-    return 0.0
-
-
 def stability_report(shape: CliffordShape) -> StabilityReport:
     """Bundle eigenvalue, margin, verdict, and the stability interval."""
     mode = first_even_eigenvalue(shape)
-    data = curvature(shape)
-    margin = mode.value - shape.n - data.norm_sq
+    margin = mode.value - shape.n - curvature(shape).norm_sq
     lo, hi = stability_interval(shape.n1, shape.n2)
     return StabilityReport(
         shape=shape,

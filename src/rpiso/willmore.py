@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import CliffordShape, area_sphere, curvature
+from .clifford import CliffordShape, _power, area_sphere, curvature
 from .specfn import log_gamma, sphere_area, trigamma
 
 __all__ = [
@@ -60,12 +60,11 @@ class WillmoreReport:
     convexity_ok: bool
 
 
-def tube_willmore_energy(shape: CliffordShape) -> float:
+def tube_willmore_energy(shape: CliffordShape) -> float | np.ndarray:
     """Willmore energy area(shape) * (1 + H^2)^(n/2) of the shape in the
-    unit sphere."""
-    data = curvature(shape)
-    h2 = data.mean * data.mean
-    return area_sphere(shape) * (1.0 + h2) ** (shape.n / 2.0)
+    unit sphere; an array per latitude for an array-valued shape."""
+    mean = curvature(shape).mean
+    return area_sphere(shape) * _power(1.0 + mean * mean, shape.n / 2.0)
 
 
 def clifford_area_f(n: int, x: float) -> float:
@@ -161,16 +160,11 @@ def energy_minimum(n: int, r_samples: int = 10_000) -> tuple[float, int, float]:
     if r_samples < 1000:
         raise ValueError(f"r_samples must be >= 1000, got {r_samples}")
     r = _HALF_PI * (np.arange(1, r_samples + 1) / (r_samples + 1))
-    cos_r = np.cos(r)
-    sin_r = np.sin(r)
     best_energy = math.inf
     best_k = -1
     best_r = math.nan
     for k in range(n + 1):
-        n2 = n - k
-        area = sphere_area(k) * sphere_area(n2) * cos_r**k * sin_r**n2
-        mean = (-k * sin_r / cos_r + n2 * cos_r / sin_r) / n
-        energy = area * (1.0 + mean * mean) ** (n / 2.0)
+        energy = tube_willmore_energy(CliffordShape(k, n - k, r))
         j = int(np.argmin(energy))
         value = float(energy[j])
         if value < best_energy:

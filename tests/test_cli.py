@@ -234,3 +234,23 @@ class TestUsageErrors:
     def test_no_command(self):
         code, _, _ = run_cli([])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["areas", "--dim", "4", "--out", "MISSING/areas.csv"],
+            ["profile", "--dim", "3", "--out", "MISSING/deeper/p.csv"],
+            ["verify", "--tol", "identity=nan"],
+            ["verify", "--tol", "identity=inf"],
+            ["verify", "--tol", "identity=0"],
+            ["verify", "--tol", "identity=nan", "--tol", "rp3_perimeter=-1"],
+        ],
+    )
+    def test_bad_out_directory_and_tolerance_values(self, argv, tmp_path):
+        argv = [a.replace("MISSING", str(tmp_path / "missing")) for a in argv]
+        code, out, err = run_cli(argv)
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert "error:" in err.splitlines()[-1]
+        assert not (tmp_path / "missing").exists()

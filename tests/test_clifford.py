@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import HALF_PI, random_shapes, random_shapes_with_degenerate
+from conftest import (
+    HALF_PI,
+    LATITUDES,
+    assert_elementwise,
+    random_shapes,
+    random_shapes_with_degenerate,
+)
 from rpiso.clifford import (
     CliffordShape,
     area_rp,
@@ -216,3 +222,43 @@ class TestAlgebraicIdentities:
         n = n1 + n2
         residual = data.norm_sq - n + data.beta * n * data.mean
         assert abs(residual) <= 1e-12 * max(1.0, data.norm_sq)
+
+
+class TestArrayLatitudes:
+    @pytest.mark.parametrize("n1,n2", [(0, 3), (1, 1), (2, 5), (6, 0), (4, 4)])
+    def test_curvature_and_areas_match_scalar_calls(self, n1, n2):
+        def fields(shape):
+            data = curvature(shape)
+            return (
+                data.kappa1,
+                data.kappa2,
+                data.mean,
+                data.norm_sq,
+                data.beta,
+                area_sphere(shape),
+                area_rp(shape),
+            )
+
+        assert_elementwise(fields, n1, n2)
+
+    @pytest.mark.parametrize("bad", [0.0, HALF_PI, -0.2, 2.0, math.nan, math.inf])
+    def test_rejects_any_element_outside(self, bad):
+        rs = LATITUDES.copy()
+        rs[40] = bad
+        with pytest.raises(ValueError):
+            CliffordShape(2, 3, rs)
+
+    def test_rejects_non_vector_arrays(self):
+        with pytest.raises(ValueError):
+            CliffordShape(2, 3, np.full((2, 2), 0.5))
+        with pytest.raises(ValueError):
+            CliffordShape(2, 3, np.array(0.5))
+
+    def test_keeps_a_read_only_copy(self):
+        rs = LATITUDES.copy()
+        shape = CliffordShape(2, 3, rs)
+        rs[0] = 1.0
+        assert shape.r[0] == LATITUDES[0]
+        assert shape.cos_r[0] == math.cos(LATITUDES[0])
+        with pytest.raises(ValueError):
+            shape.r[0] = 1.0

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import HALF_PI
+from conftest import HALF_PI, assert_elementwise
 from rpiso.profile import (
     CrossingNotFound,
     ProfilePoint,
@@ -128,6 +128,15 @@ class TestTubePerimeter:
         fam_sp = TubeFamily(6, 2, Space.SPHERE_ANTIPODAL)
         for r in (0.5, 1.2):
             assert tube_perimeter(fam_sp, r) == 2.0 * tube_perimeter(fam_rp, r)
+
+    @pytest.mark.parametrize("dim,k", [(3, 0), (5, 2), (8, 7)])
+    def test_array_matches_scalar_calls(self, dim, k):
+        families = [TubeFamily(dim, k, space) for space in Space]
+        assert_elementwise(
+            lambda shape: tuple(tube_perimeter(fam, shape.r) for fam in families),
+            k,
+            dim - 1 - k,
+        )
 
 
 class TestRadiusForVolume:
@@ -274,11 +283,12 @@ class TestTransitions:
         assert crossings[0][2] + crossings[1][2] == pytest.approx(total, rel=1e-9)
         assert 0.0 < crossings[0][2] < total / 2.0
 
-    def test_rp7_six_increasing(self):
-        crossings = transition_volumes(7)
-        assert len(crossings) == 6
+    @pytest.mark.parametrize("space", list(Space), ids=lambda s: s.value)
+    @pytest.mark.parametrize("dim", range(3, 13))
+    def test_handoffs_increase_in_k(self, dim, space):
+        crossings = transition_volumes(dim, space)
+        assert [(k, k2) for k, k2, _ in crossings] == [(k, k + 1) for k in range(dim - 1)]
         vols = [v for _, _, v in crossings]
-        assert vols == sorted(vols)
         assert all(v2 > v1 for v1, v2 in zip(vols, vols[1:]))
 
     def test_envelope_consistency(self):
@@ -303,6 +313,16 @@ class TestTransitions:
     def test_crossing_finder_requires_sign_change(self):
         with pytest.raises(CrossingNotFound):
             _bisect_crossing(lambda v: 1.0 + v * v, 0.0, 1.0, 1e-12)
+
+    def test_crossing_finder_raises_when_budget_runs_out(self):
+        # Adjacent doubles around the step are still 1e-16 apart, so a
+        # 1e-300 width is never reached and the step budget must end it.
+        def step(v):
+            return -1.0 if v < 0.5 else 1.0
+
+        assert _bisect_crossing(step, 0.0, 1.0, 1e-12) == pytest.approx(0.5, abs=1e-12)
+        with pytest.raises(CrossingNotFound, match="steps"):
+            _bisect_crossing(step, 0.0, 1.0, 1e-300)
 
 
 class TestSuccessive:

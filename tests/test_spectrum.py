@@ -7,11 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import HALF_PI, random_shapes
+from conftest import HALF_PI, assert_elementwise, random_shapes
 from rpiso.clifford import CliffordShape, curvature
 from rpiso.spectrum import (
     first_even_eigenvalue,
-    geodesic_sphere_margin,
     laplace_eigenvalue,
     stability_interval,
     stability_margin,
@@ -148,25 +147,13 @@ class TestSignAgreement:
 
 
 class TestGeodesicSphereMargin:
-    def test_identically_zero(self):
-        assert geodesic_sphere_margin(2, 0.3) == 0.0
-        assert geodesic_sphere_margin(5, 1.2) == 0.0
-
     def test_cancellation_is_real(self):
-        # The identity behind the hard-coded zero: degree-1 eigenvalue
-        # n/sin^2 r equals n + n cot^2 r.
+        # Geodesic spheres are degenerate-stable at every radius: the
+        # degree-1 eigenvalue n/sin^2 r equals the potential n + n cot^2 r.
         for n, r in ((2, 0.3), (5, 1.2), (7, 0.9)):
             lam = n / math.sin(r) ** 2
             potential = n + n / math.tan(r) ** 2
             assert lam == pytest.approx(potential, rel=1e-12)
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            geodesic_sphere_margin(0, 0.5)
-        with pytest.raises(ValueError):
-            geodesic_sphere_margin(3, 0.0)
-        with pytest.raises(ValueError):
-            geodesic_sphere_margin(3, HALF_PI)
 
 
 class TestStabilityReport:
@@ -188,3 +175,55 @@ class TestStabilityReport:
         mid = 0.5 * (lo + hi)
         assert stability_report(CliffordShape(1, 2, mid)).stable
         assert not stability_report(CliffordShape(1, 2, hi + 0.1)).stable
+
+
+def _float_neighbours(x: float, count: int = 300) -> np.ndarray:
+    """x and the count nearest doubles on each side of it."""
+    below = [x]
+    above = [x]
+    for _ in range(count):
+        below.append(float(np.nextafter(below[-1], 0.0)))
+        above.append(float(np.nextafter(above[-1], 2.0)))
+    return np.array(sorted(below[1:] + above))
+
+
+def _mode_fields(shape):
+    mode = first_even_eigenvalue(shape)
+    return mode.k1, mode.k2, mode.value
+
+
+class TestArrayLatitudes:
+    @pytest.mark.parametrize("n1,n2", [(1, 1), (1, 4), (3, 2), (5, 5)])
+    def test_match_scalar_calls(self, n1, n2):
+        def fields(shape):
+            report = stability_report(shape)
+            return (
+                laplace_eigenvalue(shape, 2, 1),
+                laplace_eigenvalue(shape, 0, 3),
+                *_mode_fields(shape),
+                stability_margin(shape),
+                report.lambda1,
+                report.margin,
+                report.stable,
+            )
+
+        assert_elementwise(fields, n1, n2)
+
+    def test_ties_resolve_in_candidate_order_per_element(self):
+        # Doubles next to the interval endpoints include exact ties between
+        # (1, 1) and (2, 0) or (0, 2); each element must pick (1, 1) there,
+        # as the scalar call does.
+        ties = 0
+        for n1, n2 in ((1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (4, 4)):
+            lo, hi = stability_interval(n1, n2)
+            rs = np.concatenate([_float_neighbours(lo), _float_neighbours(hi)])
+            shape = CliffordShape(n1, n2, rs)
+            values = np.array(
+                [laplace_eigenvalue(shape, k1, k2) for k1, k2 in ((1, 1), (2, 0), (0, 2))]
+            )
+            tied = (values == values.min(axis=0)).sum(axis=0) > 1
+            ties += int(tied.sum())
+            mode = first_even_eigenvalue(shape)
+            assert np.all(mode.k1[tied] == 1) and np.all(mode.k2[tied] == 1)
+            assert_elementwise(_mode_fields, n1, n2, rs)
+        assert ties > 0

@@ -33,6 +33,7 @@ def test_run_all_passes_at_reduced_size():
     results = run_all(max_dim=4, samples=300)
     failures = [r for r in results if not r.passed]
     assert not failures, [f"{r.name}: {r.detail}" for r in failures]
+    assert all(type(r.passed) is bool for r in results)
 
 
 def test_unknown_override_rejected():

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import HALF_PI, random_shapes
+from conftest import HALF_PI, assert_elementwise, random_shapes
 from rpiso.clifford import CliffordShape, area_sphere, curvature
 from rpiso.specfn import sphere_area, trigamma
 from rpiso.willmore import (
@@ -22,6 +22,10 @@ from rpiso.willmore import (
 
 
 class TestTubeWillmoreEnergy:
+    @pytest.mark.parametrize("n1,n2", [(0, 2), (1, 1), (2, 2), (3, 6), (5, 0)])
+    def test_array_matches_scalar_calls(self, n1, n2):
+        assert_elementwise(lambda shape: (tube_willmore_energy(shape),), n1, n2)
+
     def test_minimal_shapes_energy_is_area(self):
         for p, n in ((1, 2), (1, 3), (2, 5), (4, 8)):
             r = math.atan(math.sqrt((n - p) / p))
