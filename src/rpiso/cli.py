@@ -1,9 +1,12 @@
 """Command-line front end: profiles, transitions, stability scans,
 Willmore tables, Clifford areas, and the verification suite.
 
-Reports are CSV (17-significant-digit floats, LF endings) or JSON
-(schema_version "1", echoing the resolved configuration).  Exit status is
-0 on success, 1 when a verification check fails, 2 on usage errors.
+Each subcommand is declared once, by ``_command`` on its handler: help,
+flags (their argparse types enforce every bound) and the flags echoed
+under "extras".  Reports are CSV (17-significant-digit floats, LF
+endings) or JSON (schema_version "1", echoing the resolved
+configuration).  Exit status is 0 on success, 1 when a verification
+check fails, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -14,24 +17,18 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import verify as verify_mod
 from .clifford import CliffordShape
-from .profile import (
-    CrossingNotFound,
-    Space,
-    profile_curve,
-    total_volume,
-    transition_volumes,
-)
+from .profile import CrossingNotFound, Space, profile_curve, total_volume, transition_volumes
 from .spectrum import stability_report
 from .specfn import QuadratureError, sphere_area
 from .willmore import clifford_area_f, width_candidate, willmore_report
 
-__all__ = ["RunConfig", "build_parser", "run", "main"]
+__all__ = ["build_parser", "main"]
 
 _SCHEMA_VERSION = "1"
 
@@ -45,219 +42,40 @@ _WIDTH_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation: one command plus its knobs.
+class _Report(NamedTuple):
+    """CSV header and rows, JSON payload (built on demand), exit status."""
 
-    ambient_dim doubles as the hypersurface dimension n for the willmore
-    and areas commands; extras carries command-specific integers such as
-    the stability factor dimensions.
-    """
-
-    command: str
-    ambient_dim: int | None
-    samples: int | None
-    space: str
-    output_format: str
-    output_path: str | None
-    tolerance_overrides: dict[str, float] = field(default_factory=dict)
-    extras: dict[str, int] = field(default_factory=dict)
+    header: list[str]
+    rows: list
+    payload: Callable[[], dict]
+    status: int = 0
 
 
-def _space_of(config: RunConfig) -> Space:
-    return Space.PROJECTIVE if config.space == "rp" else Space.SPHERE_ANTIPODAL
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
-def _csv(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(x) for x in row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def _config_echo(config: RunConfig) -> dict:
-    echo = dataclasses.asdict(config)
-    return echo
-
-
-def _json_report(config: RunConfig, payload: dict) -> str:
-    obj = {"schema_version": _SCHEMA_VERSION, "config": _config_echo(config)}
-    obj.update(payload)
-    return json.dumps(obj, indent=2) + "\n"
-
-
-def _emit(config: RunConfig, text: str, stdout) -> None:
-    if config.output_path:
-        with open(config.output_path, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        stdout.write(text)
-
-
-def _cmd_profile(config: RunConfig, stdout) -> int:
-    points = profile_curve(config.ambient_dim, config.samples, _space_of(config))
-    if config.output_format == "csv":
-        rows = [[p.volume, p.perimeter, p.best_k, p.best_r] for p in points]
-        text = _csv(["volume", "perimeter", "best_k", "best_r"], rows)
-    else:
-        text = _json_report(
-            config,
-            {
-                "total_volume": total_volume(config.ambient_dim, _space_of(config)),
-                "points": [dataclasses.asdict(p) for p in points],
-            },
-        )
-    _emit(config, text, stdout)
-    return 0
-
-
-def _cmd_transitions(config: RunConfig, stdout) -> int:
-    crossings = transition_volumes(config.ambient_dim, _space_of(config))
-    if config.output_format == "csv":
-        text = _csv(["k", "k_next", "volume"], [list(c) for c in crossings])
-    else:
-        text = _json_report(
-            config,
-            {
-                "total_volume": total_volume(config.ambient_dim, _space_of(config)),
-                "transitions": [
-                    {"k": k, "k_next": k2, "volume": v} for k, k2, v in crossings
-                ],
-            },
-        )
-    _emit(config, text, stdout)
-    return 0
-
-
-def _cmd_stability(config: RunConfig, stdout) -> int:
-    n1 = config.extras["n1"]
-    n2 = config.extras["n2"]
-    scan = config.samples
-    rs = 0.5 * math.pi * np.arange(1, scan + 1) / (scan + 1)
-    report = stability_report(CliffordShape(n1, n2, rs))
-    inside = (report.interval_lo <= rs) & (rs <= report.interval_hi)
-    rows = list(
-        zip(rs.tolist(), report.lambda1.tolist(), report.margin.tolist(), inside.tolist())
-    )
-    if config.output_format == "csv":
-        text = _csv(["r", "lambda1", "margin", "in_interval"], rows)
-    else:
-        text = _json_report(
-            config,
-            {
-                "interval_lo": report.interval_lo,
-                "interval_hi": report.interval_hi,
-                "points": [
-                    {
-                        "r": r,
-                        "lambda1": lam,
-                        "margin": margin,
-                        "in_interval": inside,
-                    }
-                    for r, lam, margin, inside in rows
-                ],
-            },
-        )
-    _emit(config, text, stdout)
-    return 0
-
-
-def _cmd_willmore(config: RunConfig, stdout) -> int:
-    n = config.ambient_dim
-    report = willmore_report(n, config.samples)
-    if config.output_format == "csv":
-        text = _csv(
-            [
-                "n",
-                "sigma_n",
-                "min_energy",
-                "argmin_k",
-                "argmin_r",
-                "chain_ok",
-                "convexity_ok",
-            ],
-            [
-                [
-                    report.n,
-                    report.sigma_n,
-                    report.min_energy,
-                    report.argmin_k,
-                    report.argmin_r,
-                    report.chain_ok,
-                    report.convexity_ok,
-                ]
-            ],
-        )
-    else:
-        text = _json_report(
-            config,
-            {
-                "report": dataclasses.asdict(report),
-                "note": _WIDTH_NOTE,
-            },
-        )
-    _emit(config, text, stdout)
-    return 0
-
-
-def _cmd_areas(config: RunConfig, stdout) -> int:
-    n = config.ambient_dim
-    rows = [[p, clifford_area_f(n, float(p))] for p in range(1, n)]
-    if config.output_format == "csv":
-        text = _csv(["p", "area"], rows)
-    else:
-        text = _json_report(
-            config,
-            {
-                "two_sphere_bound": 2.0 * sphere_area(n),
-                "balanced_minimum": width_candidate(n),
-                "areas": [{"p": p, "area": a} for p, a in rows],
-                "note": _WIDTH_NOTE,
-            },
-        )
-    _emit(config, text, stdout)
-    return 0
-
-
-def _cmd_verify(config: RunConfig, stdout, stderr) -> int:
-    results = verify_mod.run_all(
-        max_dim=config.extras["max_dim"],
-        samples=config.samples,
-        overrides=config.tolerance_overrides or None,
-    )
-    for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        stderr.write(f"{status} {res.name}: {res.detail}\n")
-    if config.output_format == "csv":
-        text = _csv(
-            ["name", "passed", "detail"],
-            [[r.name, r.passed, r.detail.replace(",", ";")] for r in results],
-        )
-    else:
-        text = _json_report(
-            config,
-            {
-                "checks": [dataclasses.asdict(r) for r in results],
-                "all_passed": all(r.passed for r in results),
-            },
-        )
-    _emit(config, text, stdout)
-    return 0 if all(r.passed for r in results) else 1
+def _out_path(text: str) -> str:
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"is a directory, not a file: {text}")
+    if not os.path.isdir(os.path.dirname(text) or "."):
+        raise argparse.ArgumentTypeError(f"directory does not exist: {text}")
+    return text
 
 
 def _parse_tolerance(text: str) -> tuple[str, float]:
     name, sep, raw = text.partition("=")
     if not sep or not name:
-        raise argparse.ArgumentTypeError(
-            f"expected NAME=VALUE, got {text!r}"
-        )
+        raise argparse.ArgumentTypeError(f"expected NAME=VALUE, got {text!r}")
     try:
         value = float(raw)
     except ValueError as exc:
@@ -266,17 +84,182 @@ def _parse_tolerance(text: str) -> tuple[str, float]:
         raise argparse.ArgumentTypeError(f"tolerance must be positive and finite: {text!r}")
     if name not in verify_mod.DEFAULT_TOLERANCES:
         known = ", ".join(sorted(verify_mod.DEFAULT_TOLERANCES))
-        raise argparse.ArgumentTypeError(
-            f"unknown tolerance {name!r}; known names: {known}"
-        )
+        raise argparse.ArgumentTypeError(f"unknown tolerance {name!r}; known names: {known}")
     return name, value
 
 
-def _add_output_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--format", choices=("csv", "json"), default="csv", help="report format"
+def _flag(*names: str, **kwargs) -> tuple[tuple[str, ...], dict]:
+    return names, kwargs
+
+
+def _dim(minimum: int, what: str = "ambient dimension"):
+    text = f"{what} (>= {minimum})"
+    return _flag("--dim", type=_int_at_least(minimum), required=True, help=text)
+
+
+_SPACE = _flag("--space", choices=("rp", "sphere"), default="rp")
+
+# name -> (summary, handler, flags, names of the flags echoed under "extras")
+_COMMANDS: dict[str, tuple] = {}
+
+
+def _command(name: str, summary: str, *flags, extras: tuple[str, ...] = ()):
+    def register(handler: Callable[[argparse.Namespace], _Report]):
+        _COMMANDS[name] = (summary, handler, flags, extras)
+        return handler
+
+    return register
+
+
+@_command(
+    "profile",
+    "perimeter-volume envelope over tube families",
+    _dim(2),
+    _flag("--samples", type=_int_at_least(2), default=2000, help="interior volume samples"),
+    _SPACE,
+)
+def _profile(args: argparse.Namespace) -> _Report:
+    space = Space(args.space)
+    points = profile_curve(args.dim, args.samples, space)
+    return _Report(
+        ["volume", "perimeter", "best_k", "best_r"],
+        [[p.volume, p.perimeter, p.best_k, p.best_r] for p in points],
+        lambda: {
+            "total_volume": total_volume(args.dim, space),
+            "points": [dataclasses.asdict(p) for p in points],
+        },
     )
-    sub.add_argument("--out", default=None, help="write the report to this path")
+
+
+@_command("transitions", "envelope handoff volumes between families", _dim(3), _SPACE)
+def _transitions(args: argparse.Namespace) -> _Report:
+    space = Space(args.space)
+    header = ["k", "k_next", "volume"]
+    rows = [list(c) for c in transition_volumes(args.dim, space)]
+    return _Report(
+        header,
+        rows,
+        lambda: {
+            "total_volume": total_volume(args.dim, space),
+            "transitions": [dict(zip(header, row)) for row in rows],
+        },
+    )
+
+
+@_command(
+    "stability",
+    "stability margin scan for one factor pair",
+    _flag("--n1", type=_int_at_least(1), required=True, help="first factor dimension (>= 1)"),
+    _flag("--n2", type=_int_at_least(1), required=True, help="second factor dimension (>= 1)"),
+    _flag("--scan", dest="samples", metavar="SCAN", type=_int_at_least(2), default=100,
+          help="number of latitudes"),
+    extras=("n1", "n2"),
+)
+def _stability(args: argparse.Namespace) -> _Report:
+    rs = 0.5 * math.pi * np.arange(1, args.samples + 1) / (args.samples + 1)
+    report = stability_report(CliffordShape(args.n1, args.n2, rs))
+    inside = (report.interval_lo <= rs) & (rs <= report.interval_hi)
+    header = ["r", "lambda1", "margin", "in_interval"]
+    rows = list(zip(rs.tolist(), report.lambda1.tolist(), report.margin.tolist(), inside.tolist()))
+    return _Report(
+        header,
+        rows,
+        lambda: {
+            "interval_lo": report.interval_lo,
+            "interval_hi": report.interval_hi,
+            "points": [dict(zip(header, row)) for row in rows],
+        },
+    )
+
+
+@_command(
+    "willmore",
+    "tube Willmore minimum and width candidate",
+    _dim(2, "hypersurface dimension n"),
+    _flag("--samples", type=_int_at_least(1000), default=10_000, help="latitude grid size"),
+)
+def _willmore(args: argparse.Namespace) -> _Report:
+    report = willmore_report(args.dim, args.samples)
+    columns = ["n", "sigma_n", "min_energy", "argmin_k", "argmin_r", "chain_ok", "convexity_ok"]
+    return _Report(
+        columns,
+        [[getattr(report, name) for name in columns]],
+        lambda: {"report": dataclasses.asdict(report), "note": _WIDTH_NOTE},
+    )
+
+
+@_command(
+    "areas", "minimal Clifford areas f(p) for p = 1..n-1", _dim(2, "hypersurface dimension n")
+)
+def _areas(args: argparse.Namespace) -> _Report:
+    n = args.dim
+    header = ["p", "area"]
+    rows = [[p, clifford_area_f(n, float(p))] for p in range(1, n)]
+    return _Report(
+        header,
+        rows,
+        lambda: {
+            "two_sphere_bound": 2.0 * sphere_area(n),
+            "balanced_minimum": width_candidate(n),
+            "areas": [dict(zip(header, row)) for row in rows],
+            "note": _WIDTH_NOTE,
+        },
+    )
+
+
+@_command(
+    "verify",
+    "run the full verification suite",
+    _flag("--max-dim", type=_int_at_least(3), default=10, help="largest ambient dimension"),
+    _flag("--samples", type=_int_at_least(100), default=2000, help="profile grid size"),
+    _flag("--tol", type=_parse_tolerance, action="append", default=[], metavar="NAME=VALUE",
+          help="override a named verification tolerance (repeatable)"),
+    extras=("max_dim",),
+)
+def _verify(args: argparse.Namespace) -> _Report:
+    overrides = dict(args.tol) or None
+    results = verify_mod.run_all(max_dim=args.max_dim, samples=args.samples, overrides=overrides)
+    for res in results:
+        sys.stderr.write(f"{'PASS' if res.passed else 'FAIL'} {res.name}: {res.detail}\n")
+    all_passed = all(r.passed for r in results)
+    return _Report(
+        ["name", "passed", "detail"],
+        [[r.name, r.passed, r.detail.replace(",", ";")] for r in results],
+        lambda: {"checks": [dataclasses.asdict(r) for r in results], "all_passed": all_passed},
+        0 if all_passed else 1,
+    )
+
+
+def _fmt(value) -> str:
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    return format(value, ".17g") if isinstance(value, float) else str(value)
+
+
+def _write_report(args: argparse.Namespace, report: _Report) -> None:
+    """Render the report in --format and write it to --out or stdout."""
+    if args.format == "csv":
+        lines = [",".join(report.header)]
+        lines.extend(",".join(_fmt(x) for x in row) for row in report.rows)
+        text = "\n".join(lines) + "\n"
+    else:
+        config = {
+            "command": args.command,
+            "ambient_dim": getattr(args, "dim", None),
+            "samples": getattr(args, "samples", None),
+            "space": getattr(args, "space", "rp"),
+            "output_format": args.format,
+            "output_path": args.out,
+            "tolerance_overrides": dict(getattr(args, "tol", [])),
+            "extras": {name: getattr(args, name) for name in args.extra_flags},
+        }
+        obj = {"schema_version": _SCHEMA_VERSION, "config": config, **report.payload()}
+        text = json.dumps(obj, indent=2) + "\n"
+    if args.out:
+        with open(args.out, "w", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -288,133 +271,28 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("profile", help="perimeter-volume envelope over tube families")
-    p.add_argument("--dim", type=int, required=True, help="ambient dimension (>= 2)")
-    p.add_argument("--samples", type=int, default=2000, help="interior volume samples")
-    p.add_argument("--space", choices=("rp", "sphere"), default="rp")
-    _add_output_flags(p)
-
-    p = subs.add_parser("transitions", help="envelope handoff volumes between families")
-    p.add_argument("--dim", type=int, required=True, help="ambient dimension (>= 3)")
-    p.add_argument("--space", choices=("rp", "sphere"), default="rp")
-    _add_output_flags(p)
-
-    p = subs.add_parser("stability", help="stability margin scan for one factor pair")
-    p.add_argument("--n1", type=int, required=True, help="first factor dimension (>= 1)")
-    p.add_argument("--n2", type=int, required=True, help="second factor dimension (>= 1)")
-    p.add_argument("--scan", type=int, default=100, help="number of latitudes")
-    _add_output_flags(p)
-
-    p = subs.add_parser("willmore", help="tube Willmore minimum and width candidate")
-    p.add_argument("--dim", type=int, required=True, help="hypersurface dimension n (>= 2)")
-    p.add_argument("--samples", type=int, default=10_000, help="latitude grid size")
-    _add_output_flags(p)
-
-    p = subs.add_parser("areas", help="minimal Clifford areas f(p) for p = 1..n-1")
-    p.add_argument("--dim", type=int, required=True, help="hypersurface dimension n (>= 2)")
-    _add_output_flags(p)
-
-    p = subs.add_parser("verify", help="run the full verification suite")
-    p.add_argument("--max-dim", type=int, default=10, help="largest ambient dimension")
-    p.add_argument("--samples", type=int, default=2000, help="profile grid size")
-    p.add_argument(
-        "--tol",
-        type=_parse_tolerance,
-        action="append",
-        default=[],
-        metavar="NAME=VALUE",
-        help="override a named verification tolerance (repeatable)",
-    )
-    _add_output_flags(p)
-
+    for name, (summary, handler, flags, extras) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=summary)
+        for names, kwargs in flags:
+            sub.add_argument(*names, **kwargs)
+        sub.add_argument("--format", choices=("csv", "json"), default="csv", help="report format")
+        sub.add_argument("--out", type=_out_path, help="write the report to this path")
+        sub.set_defaults(handler=handler, extra_flags=extras)
     return parser
 
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    command = args.command
-    extras: dict[str, int] = {}
-    ambient_dim = getattr(args, "dim", None)
-    samples = getattr(args, "samples", None)
-    overrides: dict[str, float] = {}
-    if command == "stability":
-        extras = {"n1": args.n1, "n2": args.n2}
-        samples = args.scan
-    elif command == "verify":
-        extras = {"max_dim": args.max_dim}
-        overrides = dict(args.tol)
-    return RunConfig(
-        command=command,
-        ambient_dim=ambient_dim,
-        samples=samples,
-        space=getattr(args, "space", "rp"),
-        output_format=args.format,
-        output_path=args.out,
-        tolerance_overrides=overrides,
-        extras=extras,
-    )
-
-
-def _validate(config: RunConfig, parser: argparse.ArgumentParser) -> None:
-    if config.output_path and not os.path.isdir(os.path.dirname(config.output_path) or "."):
-        parser.error(f"--out directory does not exist: {config.output_path}")
-    if config.command in ("profile", "transitions"):
-        minimum = 2 if config.command == "profile" else 3
-        if config.ambient_dim is None or config.ambient_dim < minimum:
-            parser.error(f"--dim must be >= {minimum} for {config.command}")
-    if config.command in ("willmore", "areas") and config.ambient_dim < 2:
-        parser.error("--dim must be >= 2")
-    if config.command == "profile" and config.samples < 2:
-        parser.error("--samples must be >= 2")
-    if config.command == "willmore" and config.samples < 1000:
-        parser.error("--samples must be >= 1000")
-    if config.command == "stability":
-        if config.extras["n1"] < 1 or config.extras["n2"] < 1:
-            parser.error("--n1 and --n2 must be >= 1")
-        if config.samples < 2:
-            parser.error("--scan must be >= 2")
-    if config.command == "verify":
-        if config.extras["max_dim"] < 3:
-            parser.error("--max-dim must be >= 3")
-        if config.samples < 100:
-            parser.error("--samples must be >= 100")
-
-
-def run(config: RunConfig, stdout=None, stderr=None) -> int:
-    """Execute one resolved configuration and write its report."""
-    stdout = stdout if stdout is not None else sys.stdout
-    stderr = stderr if stderr is not None else sys.stderr
-    try:
-        if config.command == "profile":
-            return _cmd_profile(config, stdout)
-        if config.command == "transitions":
-            return _cmd_transitions(config, stdout)
-        if config.command == "stability":
-            return _cmd_stability(config, stdout)
-        if config.command == "willmore":
-            return _cmd_willmore(config, stdout)
-        if config.command == "areas":
-            return _cmd_areas(config, stdout)
-        if config.command == "verify":
-            return _cmd_verify(config, stdout, stderr)
-    except (CrossingNotFound, QuadratureError) as exc:
-        stderr.write(f"verification failure: {exc}\n")
-        return 1
-    raise AssertionError(f"unhandled command {config.command}")
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    config = _config_from(args)
     try:
-        _validate(config, parser)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 0
-    return run(config)
+        report = args.handler(args)
+        _write_report(args, report)
+    except (CrossingNotFound, QuadratureError) as exc:
+        sys.stderr.write(f"verification failure: {exc}\n")
+        return 1
+    return report.status
 
 
 if __name__ == "__main__":

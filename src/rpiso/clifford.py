@@ -156,8 +156,13 @@ def parallel_jacobian(shape: CliffordShape, t: float) -> float:
     equal to the product of (cos t + kappa_i sin t) over principal
     curvatures.  Vanishes exactly at the focal latitudes r + t = 0 and
     r + t = pi/2 when the collapsing factor has positive dimension, and may
-    be negative past them.  Scalar latitudes only.
+    be negative past them.  Scalar latitudes only: an array-valued shape
+    raises ValueError.
     """
+    if isinstance(shape.r, np.ndarray):
+        raise ValueError(
+            "parallel_jacobian takes scalar latitudes only, got an array-valued shape"
+        )
     t = float(t)
     latitude = shape.r + t
     if latitude == _HALF_PI and shape.n1 > 0:

@@ -36,8 +36,9 @@ _LN_PI = math.log(math.pi)
 _LN_2 = math.log(2.0)
 
 # Lanczos approximation, g = 7, 9 coefficients.  Relative error of the
-# resulting log-gamma is a few 1e-15 across [0.5, 200] and stays well below
-# 1e-13 down to x ~ 0.1.
+# resulting log-gamma is a few 1e-15 across [0.5, 200].  Below x ~ 0.1 it
+# degrades, and it divides by zero once (x - 1) + 1 rounds to 0, so
+# log_gamma reaches x < 0.5 through the recurrence instead.
 _LANCZOS = (
     0.99999999999980993,
     676.5203681218851,
@@ -97,14 +98,18 @@ class Quadrature:
 
 
 def log_gamma(x: float) -> float:
-    """Natural logarithm of the Gamma function for x > 0.
+    """Natural logarithm of the Gamma function for finite x > 0.
 
-    Lanczos rational approximation; no reflection branch is needed because
-    the argument is restricted to the positive axis.
+    Lanczos rational approximation for x >= 0.5.  Below that,
+    ln Gamma(x) = ln Gamma(x + 1) - ln x keeps the relative error within
+    1e-13 down to the smallest positive double; no reflection branch is
+    needed because the argument is restricted to the positive axis.
     """
     x = float(x)
-    if not (x > 0.0):
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
+    if not (x > 0.0 and math.isfinite(x)):
+        raise ValueError(f"log_gamma requires finite x > 0, got {x}")
+    if x < 0.5:
+        return log_gamma(x + 1.0) - math.log(x)
     z = x - 1.0
     acc = _LANCZOS[0]
     for i in range(1, len(_LANCZOS)):
@@ -136,11 +141,14 @@ def trigamma(x: float) -> float:
     Upward recurrence psi'(x) = psi'(x+1) + 1/x^2 shifts the argument to
     x >= 10, where the Bernoulli asymptotic tail is applied.  Absolute
     error stays below 1e-12 on (0, 60]; the floor is set by rounding of
-    the dominant 1/x^2 term at small arguments.
+    the dominant 1/x^2 term at small arguments.  Below x ~ 7.5e-155 the
+    value overflows and inf is returned.
     """
     x = float(x)
     if not (x > 0.0):
         raise ValueError(f"trigamma requires x > 0, got {x}")
+    if x * x == 0.0:
+        return math.inf
     acc = 0.0
     while x < _TRIGAMMA_SHIFT:
         acc += 1.0 / (x * x)

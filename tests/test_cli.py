@@ -20,6 +20,15 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _in_tmp(argv, tmp_path):
+    """Point MISSING at a directory that does not exist under tmp_path,
+    and EXISTING_DIR at tmp_path itself."""
+    return [
+        a.replace("MISSING", str(tmp_path / "missing")).replace("EXISTING_DIR", str(tmp_path))
+        for a in argv
+    ]
+
+
 class TestProfileCommand:
     def test_csv_shape(self):
         code, out, _ = run_cli(["profile", "--dim", "3", "--samples", "20"])
@@ -244,13 +253,125 @@ class TestUsageErrors:
             ["verify", "--tol", "identity=inf"],
             ["verify", "--tol", "identity=0"],
             ["verify", "--tol", "identity=nan", "--tol", "rp3_perimeter=-1"],
+            ["areas", "--dim", "4", "--out", "EXISTING_DIR"],
         ],
     )
     def test_bad_out_directory_and_tolerance_values(self, argv, tmp_path):
-        argv = [a.replace("MISSING", str(tmp_path / "missing")) for a in argv]
+        argv = _in_tmp(argv, tmp_path)
         code, out, err = run_cli(argv)
         assert code == 2
         assert out == ""
         assert "Traceback" not in err
         assert "error:" in err.splitlines()[-1]
         assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["profile", "--dim", "3", "--bogus"], "--bogus"),
+            (["profile"], "--dim"),
+            (["profile", "--dim", "1"], "--dim"),
+            (["profile", "--dim", "x"], "--dim"),
+            (["profile", "--dim", "3", "--samples", "1"], "--samples"),
+            (["profile", "--dim", "3", "--space", "hyper"], "--space"),
+            (["transitions", "--dim", "2"], "--dim"),
+            (["stability", "--n1", "0", "--n2", "2"], "--n1"),
+            (["stability", "--n1", "2", "--n2", "0"], "--n2"),
+            (["stability", "--n1", "1", "--n2", "1", "--scan", "1"], "--scan"),
+            (["willmore", "--dim", "1"], "--dim"),
+            (["willmore", "--dim", "3", "--samples", "999"], "--samples"),
+            (["areas", "--dim", "1"], "--dim"),
+            (["areas", "--dim", "4", "--format", "xml"], "--format"),
+            (["verify", "--max-dim", "2"], "--max-dim"),
+            (["verify", "--samples", "99"], "--samples"),
+            (["verify", "--tol", "bogus=1"], "--tol"),
+            (["areas", "--dim", "4", "--out", "MISSING/areas.csv"], "--out"),
+            (["areas", "--dim", "4", "--out", "EXISTING_DIR"], "--out"),
+        ],
+    )
+    def test_error_names_the_flag(self, argv, flag, tmp_path):
+        argv = _in_tmp(argv, tmp_path)
+        code, out, err = run_cli(argv)
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        last = err.splitlines()[-1]
+        assert "error:" in last
+        assert flag in last
+
+
+def _echo(
+    command,
+    ambient_dim=None,
+    samples=None,
+    space="rp",
+    output_path=None,
+    tolerance_overrides=None,
+    extras=None,
+):
+    """The expected config block of a --format json report."""
+    return {
+        "command": command,
+        "ambient_dim": ambient_dim,
+        "samples": samples,
+        "space": space,
+        "output_format": "json",
+        "output_path": output_path,
+        "tolerance_overrides": tolerance_overrides or {},
+        "extras": extras or {},
+    }
+
+
+class TestConfigEcho:
+    """The JSON report's config block, key for key and in order."""
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ["profile", "--dim", "3", "--samples", "10", "--space", "sphere"],
+                _echo("profile", ambient_dim=3, samples=10, space="sphere"),
+            ),
+            (["profile", "--dim", "3"], _echo("profile", ambient_dim=3, samples=2000)),
+            (["transitions", "--dim", "4"], _echo("transitions", ambient_dim=4)),
+            (
+                ["stability", "--n1", "2", "--n2", "3", "--scan", "10"],
+                _echo("stability", samples=10, extras={"n1": 2, "n2": 3}),
+            ),
+            (
+                ["stability", "--n1", "1", "--n2", "4"],
+                _echo("stability", samples=100, extras={"n1": 1, "n2": 4}),
+            ),
+            (
+                ["willmore", "--dim", "3", "--samples", "2000"],
+                _echo("willmore", ambient_dim=3, samples=2000),
+            ),
+            (["areas", "--dim", "5"], _echo("areas", ambient_dim=5)),
+        ],
+    )
+    def test_report_commands(self, argv, expected):
+        code, out, _ = run_cli(argv + ["--format", "json"])
+        assert code == 0
+        config = json.loads(out)["config"]
+        assert list(config.items()) == list(expected.items())
+
+    def test_verify_with_overrides_and_out(self, tmp_path):
+        path = tmp_path / "verify.json"
+        argv = [
+            "verify", "--max-dim", "3", "--samples", "200",
+            "--tol", "profile_symmetry=1e-3", "--tol", "identity=1e-9",
+            "--format", "json", "--out", str(path),
+        ]
+        code, out, _ = run_cli(argv)
+        assert code == 0
+        assert out == ""
+        config = json.loads(path.read_text())["config"]
+        expected = _echo(
+            "verify",
+            samples=200,
+            output_path=str(path),
+            tolerance_overrides={"profile_symmetry": 1e-3, "identity": 1e-9},
+            extras={"max_dim": 3},
+        )
+        assert list(config.items()) == list(expected.items())
+        assert list(config["tolerance_overrides"]) == ["profile_symmetry", "identity"]

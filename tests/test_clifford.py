@@ -149,6 +149,11 @@ class TestParallelJacobian:
         shape2 = CliffordShape(2, 3, 0.25)
         assert parallel_jacobian(shape2, -0.25) == 0.0
 
+    def test_rejects_array_valued_shape(self):
+        shape = CliffordShape(1, 2, np.array([0.3, 0.4]))
+        with pytest.raises(ValueError, match="scalar latitudes only"):
+            parallel_jacobian(shape, 0.1)
+
     def test_area_transport(self):
         rng = np.random.default_rng(19)
         for shape in random_shapes(200, seed=23):

@@ -76,11 +76,23 @@ class TestLogGamma:
             rhs = math.log(x) + log_gamma(x)
             assert lhs == pytest.approx(rhs, rel=1e-13, abs=1e-13)
 
+    def test_small_arguments_against_libm(self):
+        # Below 0.5 the value comes from ln Gamma(x + 1) - ln x; ln Gamma is
+        # at least ln Gamma(0.5) > 0.57 there, so a relative bound is fair.
+        for x in np.geomspace(1e-300, 0.5, 600):
+            ref = math.lgamma(float(x))
+            assert abs(log_gamma(float(x)) - ref) <= 1e-13 * ref
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             log_gamma(0.0)
         with pytest.raises(ValueError):
             log_gamma(-1.5)
+
+    @pytest.mark.parametrize("x", [math.inf, math.nan])
+    def test_rejects_non_finite(self, x):
+        with pytest.raises(ValueError):
+            log_gamma(x)
 
 
 class TestTrigamma:
@@ -103,6 +115,17 @@ class TestTrigamma:
         vals = np.array([trigamma(float(x)) for x in xs])
         assert np.all(np.diff(vals) < 0.0)
         assert np.all(np.diff(vals, 2) > 0.0)
+
+    def test_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        for x in np.geomspace(1e-150, 60.0, 300):
+            ref = float(mpmath.psi(1, mpmath.mpf(float(x))))
+            assert trigamma(float(x)) == pytest.approx(ref, rel=1e-13)
+
+    def test_overflow_returns_inf(self):
+        # 1/x^2 exceeds the largest double; x * x itself underflows to 0.
+        assert trigamma(1e-200) == math.inf
+        assert trigamma(5e-324) == math.inf
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
