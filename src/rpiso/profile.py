@@ -13,9 +13,8 @@ Enclosed volume has the closed form
 
 with I the regularized incomplete beta, which is also what the direct
 integral (1/2) |S^k| |S^(n-k)| cossin_integral(k, n-k, r) evaluates to.
-profile_at and profile_curve share _envelope and so agree bit for bit;
-tube_volume and radius_for_volume use the scalar incomplete beta, which
-agrees with the batched one to a few ulp.
+Every volume inversion goes through one batched solve, so radius_for_volume,
+profile_at and profile_curve agree bit for bit.
 """
 
 from __future__ import annotations
@@ -26,8 +25,8 @@ from enum import Enum
 
 import numpy as np
 
-from .clifford import CliffordShape, area_rp, area_sphere
-from .specfn import _betainc_xc, _betainc_xc_vec, sphere_area
+from .clifford import CliffordShape, area_rp, area_sphere, curvature
+from .specfn import _betainc_xc_vec, sphere_area
 
 __all__ = [
     "Space",
@@ -46,10 +45,15 @@ __all__ = [
 
 _HALF_PI = 0.5 * math.pi
 
-# Volume solves stop when |v(r) - v| <= VOLUME_TOL * total volume.
+# The radius solve stops when |v(r) - v| <= VOLUME_TOL * total volume.
 VOLUME_TOL = 1e-12
 
 _MAX_BISECT = 200
+
+# The handoff solve stops once a Newton step moves both radii by at most
+# _NEWTON_TOL; it raises CrossingNotFound after _MAX_NEWTON steps.
+_NEWTON_TOL = 1e-12
+_MAX_NEWTON = 20
 
 
 class Space(Enum):
@@ -117,8 +121,12 @@ def total_volume(ambient_dim: int, space: Space = Space.PROJECTIVE) -> float:
     return area if space is Space.SPHERE_ANTIPODAL else 0.5 * area
 
 
-def _beta_params(k: int, n: int) -> tuple[float, float]:
-    return 0.5 * (n - k + 1), 0.5 * (k + 1)
+def _volume_fraction(n: int, k: int, r: np.ndarray) -> np.ndarray:
+    """Share of the total volume inside the latitude-r tubes around RP^k:
+    I_{sin^2 r}((n - k + 1)/2, (k + 1)/2) per element."""
+    s = np.sin(r)
+    c = np.cos(r)
+    return _betainc_xc_vec(s * s, c * c, 0.5 * (n - k + 1), 0.5 * (k + 1))
 
 
 def tube_volume(fam: TubeFamily, r: float) -> float:
@@ -131,10 +139,7 @@ def tube_volume(fam: TubeFamily, r: float) -> float:
     r = float(r)
     if not (0.0 <= r <= _HALF_PI):
         raise ValueError(f"radius must lie in [0, pi/2], got {r}")
-    a, b = _beta_params(fam.k, fam.n)
-    s = math.sin(r)
-    c = math.cos(r)
-    frac = _betainc_xc(s * s, c * c, a, b)
+    frac = float(_volume_fraction(fam.n, fam.k, np.array([r]))[0])
     return total_volume(fam.ambient_dim, fam.space) * frac
 
 
@@ -149,36 +154,21 @@ def tube_perimeter(fam: TubeFamily, r: float | np.ndarray) -> float | np.ndarray
 
 def radius_for_volume(fam: TubeFamily, v: float) -> float:
     """Latitude whose tube encloses volume v, for v strictly inside
-    (0, total).  Bisection on the monotone volume map, run until the
-    enclosed volume matches to VOLUME_TOL of the ambient total."""
+    (0, total): the batched solve on one element."""
     v = float(v)
     total = total_volume(fam.ambient_dim, fam.space)
     if not (0.0 < v < total):
         raise ValueError(f"volume must lie in (0, {total}), got {v}")
-    tol = VOLUME_TOL * total
-    lo = 0.0
-    hi = _HALF_PI
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        vm = tube_volume(fam, mid)
-        if abs(vm - v) <= tol:
-            return mid
-        if vm < v:
-            lo = mid
-        else:
-            hi = mid
-    raise RuntimeError(
-        f"volume bisection failed to converge for k={fam.k}, v={v}"
-    )
+    return float(_radii_for_fractions(fam.n, fam.k, np.array([v]) / total)[0])
 
 
 def _radii_for_fractions(n: int, k: int, v_frac: np.ndarray) -> np.ndarray:
-    """Vectorized latitude solve: I_{sin^2 r}(a, b) = v_frac per element.
+    """Latitudes enclosing the given volume fractions: bisection on the
+    monotone volume map until each fraction matches to VOLUME_TOL.
 
     Each element freezes at its own convergence step, so results do not
     depend on what else shares the batch.
     """
-    a, b = _beta_params(k, n)
     v_frac = np.asarray(v_frac, dtype=float)
     lo = np.zeros(v_frac.shape)
     hi = np.full(v_frac.shape, _HALF_PI)
@@ -186,9 +176,7 @@ def _radii_for_fractions(n: int, k: int, v_frac: np.ndarray) -> np.ndarray:
     active = np.ones(v_frac.shape, dtype=bool)
     for _ in range(_MAX_BISECT):
         mid = 0.5 * (lo + hi)
-        s = np.sin(mid)
-        c = np.cos(mid)
-        frac = _betainc_xc_vec(s * s, c * c, a, b)
+        frac = _volume_fraction(n, k, mid)
         done = active & (np.abs(frac - v_frac) <= VOLUME_TOL)
         out[done] = mid[done]
         active &= ~done
@@ -267,43 +255,46 @@ def profile_curve(
     ]
 
 
-def _perimeter_gap(
-    ambient_dim: int, k: int, v: float, space: Space
+def _solve_handoff(
+    ambient_dim: int,
+    k: int,
+    space: Space,
+    r_start: tuple[float, float],
+    bracket: tuple[float, float],
 ) -> float:
-    """P_k(v) - P_{k+1}(v) through scalar radius solves."""
-    low = radius_for_volume(TubeFamily(ambient_dim, k, space), v)
-    high = radius_for_volume(TubeFamily(ambient_dim, k + 1, space), v)
-    return tube_perimeter(TubeFamily(ambient_dim, k, space), low) - tube_perimeter(
-        TubeFamily(ambient_dim, k + 1, space), high
-    )
+    """Volume where tube families k and k + 1 enclose equal volume with
+    equal perimeter: Newton on their radii (r_k, r_{k+1}) from r_start.
 
-
-def _bisect_crossing(gap, lo: float, hi: float, tol: float) -> float:
-    """Root of a sign-changing function on [lo, hi] by plain bisection;
-    CrossingNotFound if _MAX_BISECT steps leave the bracket wider than tol."""
-    g_lo = gap(lo)
-    g_hi = gap(hi)
-    if g_lo == 0.0:
-        return lo
-    if g_hi == 0.0:
-        return hi
-    if (g_lo < 0.0) == (g_hi < 0.0):
+    The Jacobian uses dV/dr = P and dP/dr = n H P, with H the mean
+    curvature of the boundary.  Raises CrossingNotFound if the step budget
+    runs out, an iterate leaves (0, pi/2), or the solved volume falls
+    outside bracket.
+    """
+    n = ambient_dim - 1
+    fams = (TubeFamily(ambient_dim, k, space), TubeFamily(ambient_dim, k + 1, space))
+    radii = np.array(r_start, dtype=float)
+    for _ in range(_MAX_NEWTON):
+        vol, perim, slope = [], [], []
+        for fam, r in zip(fams, radii.tolist()):
+            vol.append(tube_volume(fam, r))
+            perim.append(tube_perimeter(fam, r))
+            slope.append(n * curvature(CliffordShape(fam.k, n - fam.k, r)).mean)
+        # Solve J step = -F for F = (V_k - V_{k+1}, P_k - P_{k+1}).
+        jac = [[perim[0], -perim[1]], [slope[0] * perim[0], -slope[1] * perim[1]]]
+        steps = np.linalg.solve(jac, [vol[1] - vol[0], perim[1] - perim[0]])
+        radii = radii + steps
+        if not np.all((radii > 0.0) & (radii < _HALF_PI)):
+            raise CrossingNotFound(f"handoff k={k}: Newton iterate {radii} left (0, pi/2)")
+        if np.max(np.abs(steps)) <= _NEWTON_TOL:
+            break
+    else:
+        raise CrossingNotFound(f"handoff k={k}: Newton not converged after {_MAX_NEWTON} steps")
+    v_star = tube_volume(fams[0], float(radii[0]))
+    if not (bracket[0] <= v_star <= bracket[1]):
         raise CrossingNotFound(
-            f"no sign change on [{lo}, {hi}] (gap {g_lo:.3e} .. {g_hi:.3e})"
+            f"handoff k={k}: solved volume {v_star} outside the scan bracket {bracket}"
         )
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol:
-            return mid
-        g_mid = gap(mid)
-        if g_mid == 0.0:
-            return mid
-        if (g_mid < 0.0) == (g_lo < 0.0):
-            lo = mid
-            g_lo = g_mid
-        else:
-            hi = mid
-    raise CrossingNotFound(f"[{lo}, {hi}] still wider than {tol} after {_MAX_BISECT} steps")
+    return v_star
 
 
 _SCAN_POINTS = 1024
@@ -315,16 +306,16 @@ def transition_volumes(
     """Envelope handoff volumes between adjacent tube families.
 
     For each k the perimeter gap P_k - P_{k+1} is sampled on a coarse
-    volume grid to bracket its sign change, then bisected to VOLUME_TOL of
-    the total volume.  Raises CrossingNotFound if some adjacent pair never
-    exchanges optimality, or if the handoff volumes do not strictly
+    volume grid to bracket its sign change; _solve_handoff then solves for
+    equal volume and perimeter from the radii at the bracket's lower end.
+    Raises CrossingNotFound if some adjacent pair never exchanges
+    optimality, if a solve fails, or if the handoff volumes do not strictly
     increase with k: either would break the successive ordering.
     """
     total = total_volume(ambient_dim, space)
     n = ambient_dim - 1
     grid = _volume_grid(total, _SCAN_POINTS)
-    perims, _ = _tube_table(ambient_dim, grid, space)
-    tol = VOLUME_TOL * total
+    perims, radii = _tube_table(ambient_dim, grid, space)
     out: list[tuple[int, int, float]] = []
     for k in range(n):
         gap_vals = perims[k] - perims[k + 1]
@@ -337,12 +328,8 @@ def transition_volumes(
         # The handoff on the lower envelope is the first crossing where the
         # smaller k stops winning.
         i = int(sign_flip[0])
-        v_star = _bisect_crossing(
-            lambda v: _perimeter_gap(ambient_dim, k, v, space),
-            float(grid[i]),
-            float(grid[i + 1]),
-            tol,
-        )
+        bracket = (float(grid[i]), float(grid[i + 1]))
+        v_star = _solve_handoff(ambient_dim, k, space, (radii[k, i], radii[k + 1, i]), bracket)
         if out and v_star <= out[-1][2]:
             raise CrossingNotFound(f"handoff volume {v_star} for k={k} is not above {out[-1]}")
         out.append((k, k + 1, v_star))

@@ -8,12 +8,15 @@ import numpy as np
 import pytest
 
 from conftest import HALF_PI, assert_elementwise
+from rpiso import profile
 from rpiso.profile import (
     CrossingNotFound,
     ProfilePoint,
     Space,
     TubeFamily,
-    _bisect_crossing,
+    _solve_handoff,
+    _tube_table,
+    _volume_grid,
     profile_at,
     profile_curve,
     radius_for_volume,
@@ -291,14 +294,15 @@ class TestTransitions:
         vols = [v for _, _, v in crossings]
         assert all(v2 > v1 for v1, v2 in zip(vols, vols[1:]))
 
-    def test_envelope_consistency(self):
-        for dim in (3, 5, 7):
-            for k, k2, v in transition_volumes(dim):
-                fam_a = TubeFamily(dim, k)
-                fam_b = TubeFamily(dim, k2)
-                pa = tube_perimeter(fam_a, radius_for_volume(fam_a, v))
-                pb = tube_perimeter(fam_b, radius_for_volume(fam_b, v))
-                assert pa == pytest.approx(pb, rel=1e-9)
+    @pytest.mark.parametrize("space", list(Space), ids=lambda s: s.value)
+    @pytest.mark.parametrize("dim", range(3, 13))
+    def test_envelope_consistency(self, dim, space):
+        for k, k2, v in transition_volumes(dim, space):
+            fam_a = TubeFamily(dim, k, space)
+            fam_b = TubeFamily(dim, k2, space)
+            pa = tube_perimeter(fam_a, radius_for_volume(fam_a, v))
+            pb = tube_perimeter(fam_b, radius_for_volume(fam_b, v))
+            assert pa == pytest.approx(pb, rel=1e-11)
 
     def test_complement_pairing(self):
         dim = 6
@@ -308,21 +312,40 @@ class TestTransitions:
         by_pair = {(k, k2): v for k, k2, v in crossings}
         for (k, k2), v in by_pair.items():
             mirror = by_pair[(n - k2, n - k)]
-            assert v == pytest.approx(total - mirror, rel=1e-8)
+            assert v == pytest.approx(total - mirror, rel=1e-12)
 
-    def test_crossing_finder_requires_sign_change(self):
-        with pytest.raises(CrossingNotFound):
-            _bisect_crossing(lambda v: 1.0 + v * v, 0.0, 1.0, 1e-12)
+    @staticmethod
+    def _scan(dim, k):
+        """Scan grid and radii table of RP^dim, and the index of the first
+        sign change of the perimeter gap between families k and k + 1."""
+        grid = _volume_grid(total_volume(dim), profile._SCAN_POINTS)
+        perims, radii = _tube_table(dim, grid, Space.PROJECTIVE)
+        gap = perims[k] - perims[k + 1]
+        i = int(np.nonzero(np.signbit(gap[:-1]) != np.signbit(gap[1:]))[0][0])
+        return grid, radii, i
 
-    def test_crossing_finder_raises_when_budget_runs_out(self):
-        # Adjacent doubles around the step are still 1e-16 apart, so a
-        # 1e-300 width is never reached and the step budget must end it.
-        def step(v):
-            return -1.0 if v < 0.5 else 1.0
-
-        assert _bisect_crossing(step, 0.0, 1.0, 1e-12) == pytest.approx(0.5, abs=1e-12)
+    def test_crossing_finder_raises_when_budget_runs_out(self, monkeypatch):
+        grid, radii, i = self._scan(4, 0)
+        bracket = (grid[i], grid[i + 1])
+        v = _solve_handoff(4, 0, Space.PROJECTIVE, (radii[0, i], radii[1, i]), bracket)
+        assert bracket[0] <= v <= bracket[1]
+        # Started near empty volume, Newton wanders without converging.
         with pytest.raises(CrossingNotFound, match="steps"):
-            _bisect_crossing(step, 0.0, 1.0, 1e-300)
+            _solve_handoff(4, 0, Space.PROJECTIVE, (radii[0, 0], radii[1, 0]), bracket)
+        # From the scan start it needs more than one step.
+        monkeypatch.setattr(profile, "_MAX_NEWTON", 1)
+        with pytest.raises(CrossingNotFound, match="steps"):
+            transition_volumes(4)
+
+    def test_crossing_finder_raises_outside_scan_bracket(self):
+        grid, radii, i = self._scan(3, 0)
+        start = (radii[0, i], radii[1, i])
+        with pytest.raises(CrossingNotFound, match="bracket"):
+            _solve_handoff(3, 0, Space.PROJECTIVE, start, (grid[i + 1], grid[i + 2]))
+        # Started near empty volume, an iterate leaves (0, pi/2).
+        far = (radii[0, 0], radii[1, 0])
+        with pytest.raises(CrossingNotFound, match="left"):
+            _solve_handoff(3, 0, Space.PROJECTIVE, far, (grid[i], grid[i + 1]))
 
 
 class TestSuccessive:

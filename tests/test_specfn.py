@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from rpiso.specfn import (
     Quadrature,
     QuadratureError,
-    _betainc_xc,
     _betainc_xc_vec,
+    _log_beta,
     cossin_integral,
     cossin_integral_closed,
     log_gamma,
@@ -21,6 +21,7 @@ from rpiso.specfn import (
     sphere_area,
     trigamma,
 )
+from rpiso.profile import TubeFamily, profile_at, radius_for_volume, total_volume, tube_volume
 
 HALF_PI = 0.5 * math.pi
 
@@ -180,19 +181,30 @@ class TestRegIncBeta:
             1.0, abs=1e-12
         )
 
-    def test_scalar_and_batched_twins_agree(self):
-        # numpy's log and exp round differently from math's, so the twins
-        # agree to a few ulp, not bit for bit: 1e-14 relative is the pin.
+    def test_scalar_entry_points_equal_batched_elements(self):
+        # One incomplete-beta path: size-1 calls, the scalar entry points
+        # and the radius solve return exactly the doubles of a batch.
         rs = np.linspace(0.002, HALF_PI - 0.002, 252)
         s, c = np.sin(rs), np.cos(rs)
         x, xc = s * s, c * c
         for dim in range(3, 13):
             n = dim - 1
+            total = total_volume(dim)
             for k in range(n + 1):
                 a, b = 0.5 * (n - k + 1), 0.5 * (k + 1)
                 batched = _betainc_xc_vec(x, xc, a, b)
-                scalar = [_betainc_xc(u, w, a, b) for u, w in zip(x.tolist(), xc.tolist())]
-                np.testing.assert_allclose(batched, scalar, rtol=1e-14, atol=0.0)
+                reflected = _betainc_xc_vec(x, 1.0 - x, a, b)
+                front = 0.5 * math.exp(_log_beta(a, b))
+                fam = TubeFamily(dim, k)
+                for i, r in enumerate(rs.tolist()):
+                    assert _betainc_xc_vec(x[i : i + 1], xc[i : i + 1], a, b)[0] == batched[i]
+                    assert tube_volume(fam, r) == total * batched[i]
+                    assert reg_inc_beta(x[i], a, b) == reflected[i]
+                    assert cossin_integral_closed(k, n - k, r) == front * batched[i]
+            for frac in np.linspace(0.02, 0.98, 12):
+                point = profile_at(dim, frac * total)
+                best = TubeFamily(dim, point.best_k)
+                assert radius_for_volume(best, frac * total) == point.best_r
 
     def test_reflection_at_sub_ulp_x_saturates(self):
         # The complement of a sub-ulp x rounds to exactly 1.0, so the pair
@@ -254,3 +266,5 @@ class TestCossinIntegral:
             Quadrature(rel_tol=-1e-9)
         with pytest.raises(ValueError):
             Quadrature(max_depth=0)
+        with pytest.raises(ValueError):
+            Quadrature(max_depth=True)
