@@ -14,7 +14,9 @@ Enclosed volume has the closed form
 with I the regularized incomplete beta, which is also what the direct
 integral (1/2) |S^k| |S^(n-k)| cossin_integral(k, n-k, r) evaluates to.
 Every volume inversion goes through one batched solve, so radius_for_volume,
-profile_at and profile_curve agree bit for bit.
+profile_at and profile_curve agree bit for bit.  That solve is a bracketed
+Newton iteration on the log of the volume fraction, or of its complement
+above half volume, so radii keep their relative accuracy in both tails.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from enum import Enum
 import numpy as np
 
 from .clifford import CliffordShape, area_rp, area_sphere, curvature
-from .specfn import _betainc_xc_vec, sphere_area
+from .specfn import _betainc_xc_vec, log_gamma, sphere_area
 
 __all__ = [
     "Space",
@@ -44,11 +46,12 @@ __all__ = [
 ]
 
 _HALF_PI = 0.5 * math.pi
+_LN_2 = math.log(2.0)
 
-# The radius solve stops when |v(r) - v| <= VOLUME_TOL * total volume.
-VOLUME_TOL = 1e-12
-
-_MAX_BISECT = 200
+# The radius solve stops once a Newton step moves a latitude t by at most
+# _RADIUS_RTOL * t; it raises RuntimeError after _MAX_RADIUS_STEPS steps.
+_RADIUS_RTOL = 1e-14
+_MAX_RADIUS_STEPS = 60
 
 # The handoff solve stops once a Newton step moves both radii by at most
 # _NEWTON_TOL; it raises CrossingNotFound after _MAX_NEWTON steps.
@@ -163,29 +166,74 @@ def radius_for_volume(fam: TubeFamily, v: float) -> float:
 
 
 def _radii_for_fractions(n: int, k: int, v_frac: np.ndarray) -> np.ndarray:
-    """Latitudes enclosing the given volume fractions: bisection on the
-    monotone volume map until each fraction matches to VOLUME_TOL.
+    """Latitudes enclosing the given volume fractions f, each in (0, 1).
 
-    Each element freezes at its own convergence step, so results do not
-    depend on what else shares the batch.
+    With a = (n - k + 1)/2 and b = (k + 1)/2, f <= 1/2 solves
+    I_{sin^2 r}(a, b) = f for r directly; f > 1/2 solves the complement
+    I_{sin^2 s}(b, a) = 1 - f for s = pi/2 - r, so both tails keep their
+    relative accuracy.  Each element is computed on its own, so results do
+    not depend on what else shares the batch.
     """
     v_frac = np.asarray(v_frac, dtype=float)
-    lo = np.zeros(v_frac.shape)
-    hi = np.full(v_frac.shape, _HALF_PI)
-    out = np.full(v_frac.shape, np.nan)
-    active = np.ones(v_frac.shape, dtype=bool)
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        frac = _volume_fraction(n, k, mid)
-        done = active & (np.abs(frac - v_frac) <= VOLUME_TOL)
-        out[done] = mid[done]
-        active &= ~done
-        if not active.any():
+    a = 0.5 * (n - k + 1)
+    b = 0.5 * (k + 1)
+    upper = v_frac > 0.5
+    out = np.empty(v_frac.shape)
+    out[~upper] = _invert_lower_fraction(v_frac[~upper], a, b)
+    out[upper] = _HALF_PI - _invert_lower_fraction(1.0 - v_frac[upper], b, a)
+    return out
+
+
+def _invert_lower_fraction(y: np.ndarray, p: float, q: float) -> np.ndarray:
+    """Latitudes t in (0, pi/2) with I_{sin^2 t}(p, q) = y, for y in (0, 1/2].
+
+    Bracketed Newton (rtsafe, Numerical Recipes 9.4) on
+    log I_{sin^2 t}(p, q) - log y, whose slope is I'/I with
+    I' = 2 sin^(2p-1) t cos^(2q-1) t / B(p, q).  Each element starts from
+    the small-radius asymptote t = (y p B(p, q))^(1/(2p)), capped at 1.2,
+    which is already exact in double precision once (p + q) t^2 < 1e-16;
+    that also covers the fractions for which sin^2 t underflows.  Otherwise
+    it keeps its own bracket inside [0, pi/2], bisects only when a Newton
+    step leaves that bracket, and freezes once a step moves it by at most
+    _RADIUS_RTOL * t; that test comes before the bracket test, since a
+    converged step may land on a bracket end.  Raises RuntimeError after
+    _MAX_RADIUS_STEPS steps.
+    """
+    ln_beta = log_gamma(p) + log_gamma(q) - log_gamma(p + q)
+    t = np.minimum(np.power(y, 0.5 / p) * math.exp(0.5 * (math.log(p) + ln_beta) / p), 1.2)
+    # I = t^(2p) / (p B) (1 + c t^2 + ...) with |c| < p + q, so there the
+    # start is within 1e-16 / (2p) relative of the root.
+    exact = (t > 0.0) & ((p + q) * t * t < 1e-16)
+    out = np.where(exact, t, np.nan)
+    idx = np.nonzero(~exact)[0]
+    t = t[idx]
+    lo = np.zeros(idx.shape)
+    hi = np.full(idx.shape, _HALF_PI)
+    for _ in range(_MAX_RADIUS_STEPS):
+        if idx.size == 0:
             return out
-        below = frac < v_frac
-        lo = np.where(active & below, mid, lo)
-        hi = np.where(active & ~below, mid, hi)
-    raise RuntimeError(f"volume bisection failed to converge for k={k}")
+        s = np.sin(t)
+        c = np.cos(t)
+        frac = _betainc_xc_vec(s * s, c * c, p, q)
+        # A fraction that underflows to 0 gives a NaN step, which bisects.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            log_slope = (
+                _LN_2 + (2.0 * p - 1.0) * np.log(s) + (2.0 * q - 1.0) * np.log(c) - ln_beta
+            )
+            step = -np.log(frac / y[idx]) * np.exp(np.log(frac) - log_slope)
+        done = np.abs(step) <= _RADIUS_RTOL * t
+        out[idx[done]] = t[done] + step[done]
+        below = frac < y[idx]
+        lo = np.where(below, t, lo)
+        hi = np.where(below, hi, t)
+        t = t + step
+        t = np.where((t > lo) & (t < hi), t, 0.5 * (lo + hi))
+        keep = ~done
+        idx, t, lo, hi = idx[keep], t[keep], lo[keep], hi[keep]
+    raise RuntimeError(
+        f"volume Newton solve not converged after {_MAX_RADIUS_STEPS} steps "
+        f"for I(p={p}, q={q})"
+    )
 
 
 def _tube_table(

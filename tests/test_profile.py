@@ -185,6 +185,67 @@ class TestRadiusForVolume:
             radius_for_volume(fam, -1.0)
 
 
+def _mp_radius(n: int, k: int, frac: float, r_start: float):
+    """40-digit latitude r with I_{sin^2 r}((n-k+1)/2, (k+1)/2) = frac.
+
+    Newton on the log of the fraction (its complement above one half) from
+    r_start, run until the 40-digit residual vanishes: the fraction is
+    strictly increasing in r, so that root is the only one, wherever the
+    start came from.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        a = mpmath.mpf(n - k + 1) / 2
+        b = mpmath.mpf(k + 1) / 2
+        y = mpmath.mpf(frac)
+        t = mpmath.mpf(r_start)
+        upper = y > 0.5
+        if upper:
+            a, b, y, t = b, a, 1 - y, mpmath.pi / 2 - t
+        beta = mpmath.beta(a, b)
+        for _ in range(50):
+            f = mpmath.betainc(a, b, 0, mpmath.sin(t) ** 2, regularized=True)
+            if abs(f - y) <= mpmath.mpf(10) ** -36 * y:
+                return float(mpmath.pi / 2 - t if upper else t)
+            slope = 2 * mpmath.sin(t) ** (2 * a - 1) * mpmath.cos(t) ** (2 * b - 1) / beta
+            t += (mpmath.log(y) - mpmath.log(f)) * f / slope
+    raise AssertionError(f"mpmath oracle did not converge for n={n}, k={k}, frac={frac}")
+
+
+# Volume fractions from deep in the empty tail to within 1e-15 of full:
+# both halves of the solve, and the small-radius asymptote below 1e-100.
+TAIL_FRACTIONS = np.array(
+    [1e-300, 1e-100, 1e-15, 1e-12, 1e-8, 1e-4, 0.5]
+    + [1.0 - f for f in (1e-4, 1e-8, 1e-12, 1e-15)]
+)
+
+
+class TestRadiusTails:
+    @pytest.mark.parametrize("dim", range(3, 31))
+    def test_radius_against_mpmath(self, dim):
+        for k in range(dim):
+            radii = profile._radii_for_fractions(dim - 1, k, TAIL_FRACTIONS)
+            for f, r in zip(TAIL_FRACTIONS.tolist(), radii.tolist()):
+                ref = _mp_radius(dim - 1, k, f, r)
+                assert abs(r - ref) <= 1e-12 * ref, (k, f, r, ref)
+
+    @pytest.mark.parametrize("dim", range(3, 31))
+    def test_best_family_at_both_ends(self, dim):
+        total = total_volume(dim)
+        assert profile_at(dim, 1e-15 * total).best_k == 0
+        assert profile_at(dim, (1.0 - 1e-15) * total).best_k == dim - 1
+
+    def test_raises_when_budget_runs_out(self, monkeypatch):
+        fam = TubeFamily(6, 2)
+        v = 0.3 * total_volume(6)
+        radius_for_volume(fam, v)
+        monkeypatch.setattr(profile, "_MAX_RADIUS_STEPS", 1)
+        with pytest.raises(RuntimeError, match="steps"):
+            radius_for_volume(fam, v)
+        with pytest.raises(RuntimeError, match="steps"):
+            profile_curve(6, 50)
+
+
 class TestProfileAt:
     def test_small_volume_selects_sphere(self):
         total = total_volume(3)
@@ -219,13 +280,19 @@ class TestProfileAt:
         # Scalar queries and batched curve evaluation share one solver
         # path, so the doubles must coincide bit for bit.
         points = profile_curve(5, 17)
-        total = total_volume(5)
         for i in (0, 7, 16):
-            v = total * (i + 1) / 18.0
-            single = profile_at(5, v)
+            single = profile_at(5, points[i].volume)
             assert single.perimeter == points[i].perimeter
             assert single.best_r == points[i].best_r
             assert single.best_k == points[i].best_k
+        # Elements freeze one by one, so an element solved alone equals the
+        # same element of a batch large enough to take the continued
+        # fraction's vectorised path, whichever half it falls in.
+        fracs = np.concatenate([np.geomspace(1e-15, 0.5, 40), 1.0 - np.geomspace(1e-15, 0.5, 40)])
+        for dim, k in ((5, 0), (5, 2), (10, 9)):
+            batch = profile._radii_for_fractions(dim - 1, k, fracs)
+            for f, r in zip(fracs, batch):
+                assert profile._radii_for_fractions(dim - 1, k, np.array([f]))[0] == r
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
