@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .specfn import sphere_area
+from .specfn import _check_int, sphere_area
 
 __all__ = [
     "CliffordShape",
@@ -49,11 +49,8 @@ class CliffordShape:
     sin_r: float | np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name, value in (("n1", self.n1), ("n2", self.n2)):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
+        _check_int("n1", self.n1, 0)
+        _check_int("n2", self.n2, 0)
         if self.n1 + self.n2 < 1:
             raise ValueError("n1 + n2 must be at least 1")
         if isinstance(self.r, np.ndarray):

@@ -5,7 +5,12 @@ RP^k inside RP^(n+1) are bounded by Clifford shapes
 S^k(cos r) x S^(n-k)(sin r).  Sweeping r fills the whole space, giving a
 perimeter-vs-volume curve per k; the candidate isoperimetric profile is
 the lower envelope of these n + 1 curves.  The same tubes double-covered
-in the round sphere give the antipodally-symmetric comparison profile.
+in the round sphere give the antipodally-symmetric comparison profile:
+every volume and area there is twice its RP^(n+1) value, and radii and
+best k are the same.  So the module computes in RP^(n+1) units only, and
+the factor of the Space (1 or 2) is applied where a result leaves it:
+total_volume, tube_volume, tube_perimeter, profile_at, profile_curve and
+transition_volumes.
 
 Enclosed volume has the closed form
 
@@ -27,8 +32,8 @@ from enum import Enum
 
 import numpy as np
 
-from .clifford import CliffordShape, area_rp, area_sphere, curvature
-from .specfn import _betainc_xc_vec, log_gamma, sphere_area
+from .clifford import CliffordShape, area_rp, curvature
+from .specfn import _betainc_xc_vec, _check_int, log_gamma, sphere_area
 
 __all__ = [
     "Space",
@@ -61,10 +66,16 @@ _MAX_NEWTON = 20
 
 class Space(Enum):
     """Ambient space: the projective quotient, or its double cover with
-    antipodally-symmetric competitors (every quantity exactly doubles)."""
+    antipodally-symmetric competitors.  Volumes and areas in the sphere are
+    exactly twice the projective ones, a factor applied only where a result
+    leaves this module; radii and best k are identical in both spaces."""
 
     PROJECTIVE = "rp"
     SPHERE_ANTIPODAL = "sphere"
+
+
+# How many times each space covers RP^d: the factor on its volumes and areas.
+_COVER = {Space.PROJECTIVE: 1.0, Space.SPHERE_ANTIPODAL: 2.0}
 
 
 class CrossingNotFound(RuntimeError):
@@ -82,18 +93,12 @@ class TubeFamily:
     space: Space = Space.PROJECTIVE
 
     def __post_init__(self) -> None:
-        if not isinstance(self.ambient_dim, int) or isinstance(self.ambient_dim, bool):
-            raise ValueError(f"ambient_dim must be an integer, got {self.ambient_dim!r}")
-        if self.ambient_dim < 2:
-            raise ValueError(f"ambient_dim must be >= 2, got {self.ambient_dim}")
-        if not isinstance(self.k, int) or isinstance(self.k, bool):
-            raise ValueError(f"k must be an integer, got {self.k!r}")
+        total_volume(self.ambient_dim, self.space)  # checks ambient_dim and space
+        _check_int("k", self.k)
         if not (0 <= self.k <= self.n):
             raise ValueError(
                 f"k must lie in [0, {self.n}] for ambient_dim {self.ambient_dim}, got {self.k}"
             )
-        if not isinstance(self.space, Space):
-            raise ValueError(f"space must be a Space, got {self.space!r}")
 
     @property
     def n(self) -> int:
@@ -114,14 +119,23 @@ class ProfilePoint:
 
 def total_volume(ambient_dim: int, space: Space = Space.PROJECTIVE) -> float:
     """Volume of the ambient space: |S^d| for the sphere, half for RP^d."""
-    if not isinstance(ambient_dim, int) or isinstance(ambient_dim, bool):
-        raise ValueError(f"ambient_dim must be an integer, got {ambient_dim!r}")
-    if ambient_dim < 2:
-        raise ValueError(f"ambient_dim must be >= 2, got {ambient_dim}")
+    _check_int("ambient_dim", ambient_dim, 2)
+    return _cover(space) * (0.5 * sphere_area(ambient_dim))
+
+
+def _cover(space: Space) -> float:
     if not isinstance(space, Space):
         raise ValueError(f"space must be a Space, got {space!r}")
-    area = sphere_area(ambient_dim)
-    return area if space is Space.SPHERE_ANTIPODAL else 0.5 * area
+    return _COVER[space]
+
+
+def _rp_volume(ambient_dim: int, v: float, space: Space) -> float:
+    """The volume v of the given space in RP^d units, once it is checked to
+    lie strictly inside (0, total)."""
+    total = total_volume(ambient_dim, space)
+    if not (0.0 < v < total):
+        raise ValueError(f"volume must lie in (0, {total}), got {v}")
+    return v / _cover(space)
 
 
 def _volume_fraction(n: int, k: int, r: np.ndarray) -> np.ndarray:
@@ -149,20 +163,15 @@ def tube_volume(fam: TubeFamily, r: float) -> float:
 def tube_perimeter(fam: TubeFamily, r: float | np.ndarray) -> float | np.ndarray:
     """Area of the latitude-r tube boundary, a Clifford shape of factor
     dimensions (k, n - k); r may be a 1-D array of latitudes."""
-    shape = CliffordShape(fam.k, fam.n - fam.k, r)
-    if fam.space is Space.SPHERE_ANTIPODAL:
-        return area_sphere(shape)
-    return area_rp(shape)
+    return _cover(fam.space) * area_rp(CliffordShape(fam.k, fam.n - fam.k, r))
 
 
 def radius_for_volume(fam: TubeFamily, v: float) -> float:
     """Latitude whose tube encloses volume v, for v strictly inside
     (0, total): the batched solve on one element."""
-    v = float(v)
-    total = total_volume(fam.ambient_dim, fam.space)
-    if not (0.0 < v < total):
-        raise ValueError(f"volume must lie in (0, {total}), got {v}")
-    return float(_radii_for_fractions(fam.n, fam.k, np.array([v]) / total)[0])
+    v = _rp_volume(fam.ambient_dim, float(v), fam.space)
+    frac = np.array([v]) / total_volume(fam.ambient_dim)
+    return float(_radii_for_fractions(fam.n, fam.k, frac)[0])
 
 
 def _radii_for_fractions(n: int, k: int, v_frac: np.ndarray) -> np.ndarray:
@@ -236,28 +245,24 @@ def _invert_lower_fraction(y: np.ndarray, p: float, q: float) -> np.ndarray:
     )
 
 
-def _tube_table(
-    ambient_dim: int, volumes: np.ndarray, space: Space
-) -> tuple[np.ndarray, np.ndarray]:
-    """(perimeter, radius) arrays of shape (n + 1, volumes.size): row k
-    holds tube family k at each volume."""
+def _tube_table(ambient_dim: int, volumes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(perimeter, radius) arrays of shape (n + 1, volumes.size) for
+    volumes in RP^d: row k holds tube family k at each volume."""
     n = ambient_dim - 1
-    v_frac = np.asarray(volumes, dtype=float) / total_volume(ambient_dim, space)
+    v_frac = np.asarray(volumes, dtype=float) / total_volume(ambient_dim)
     radii = np.array([_radii_for_fractions(n, k, v_frac) for k in range(n + 1)])
-    perims = np.array(
-        [tube_perimeter(TubeFamily(ambient_dim, k, space), radii[k]) for k in range(n + 1)]
-    )
+    perims = np.array([area_rp(CliffordShape(k, n - k, radii[k])) for k in range(n + 1)])
     return perims, radii
 
 
 def _envelope(
-    ambient_dim: int, volumes: np.ndarray, space: Space
+    ambient_dim: int, volumes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lower envelope over k of the tube perimeters at fixed volumes.
+    """Lower envelope over k of the tube perimeters at fixed volumes in RP^d.
 
     Returns (best_k, perimeter, radius) arrays; ties pick the smallest k.
     """
-    perims, radii = _tube_table(ambient_dim, volumes, space)
+    perims, radii = _tube_table(ambient_dim, volumes)
     best = np.argmin(perims, axis=0)
     cols = np.arange(perims.shape[1])
     return best, perims[best, cols], radii[best, cols]
@@ -268,13 +273,10 @@ def profile_at(
 ) -> ProfilePoint:
     """Best tube boundary enclosing volume v among all core dimensions k."""
     v = float(v)
-    total = total_volume(ambient_dim, space)
-    if not (0.0 < v < total):
-        raise ValueError(f"volume must lie in (0, {total}), got {v}")
-    best, perim, radius = _envelope(ambient_dim, np.array([v]), space)
+    best, perim, radius = _envelope(ambient_dim, np.array([_rp_volume(ambient_dim, v, space)]))
     return ProfilePoint(
         volume=v,
-        perimeter=float(perim[0]),
+        perimeter=_cover(space) * float(perim[0]),
         best_k=int(best[0]),
         best_r=float(radius[0]),
     )
@@ -288,30 +290,21 @@ def profile_curve(
     ambient_dim: int, samples: int, space: Space = Space.PROJECTIVE
 ) -> list[ProfilePoint]:
     """Profile sampled at samples interior volumes v_i = total * i/(samples+1)."""
-    _check_samples(samples)
-    total = total_volume(ambient_dim, space)
-    volumes = _volume_grid(total, samples)
-    best, perims, radii = _envelope(ambient_dim, volumes, space)
+    _check_int("samples", samples, 2)
+    cover = _cover(space)
+    volumes = _volume_grid(total_volume(ambient_dim), samples)
+    best, perims, radii = _envelope(ambient_dim, volumes)
     return [
-        ProfilePoint(
-            volume=float(volumes[i]),
-            perimeter=float(perims[i]),
-            best_k=int(best[i]),
-            best_r=float(radii[i]),
-        )
-        for i in range(samples)
+        ProfilePoint(volume=cover * v, perimeter=cover * p, best_k=k, best_r=r)
+        for v, p, k, r in zip(volumes.tolist(), perims.tolist(), best.tolist(), radii.tolist())
     ]
 
 
 def _solve_handoff(
-    ambient_dim: int,
-    k: int,
-    space: Space,
-    r_start: tuple[float, float],
-    bracket: tuple[float, float],
+    ambient_dim: int, k: int, r_start: tuple[float, float], bracket: tuple[float, float]
 ) -> float:
-    """Volume where tube families k and k + 1 enclose equal volume with
-    equal perimeter: Newton on their radii (r_k, r_{k+1}) from r_start.
+    """Volume in RP^d where tube families k and k + 1 enclose equal volume
+    with equal perimeter: Newton on their radii (r_k, r_{k+1}) from r_start.
 
     The Jacobian uses dV/dr = P and dP/dr = n H P, with H the mean
     curvature of the boundary.  Raises CrossingNotFound if the step budget
@@ -319,7 +312,7 @@ def _solve_handoff(
     outside bracket.
     """
     n = ambient_dim - 1
-    fams = (TubeFamily(ambient_dim, k, space), TubeFamily(ambient_dim, k + 1, space))
+    fams = (TubeFamily(ambient_dim, k), TubeFamily(ambient_dim, k + 1))
     radii = np.array(r_start, dtype=float)
     for _ in range(_MAX_NEWTON):
         vol, perim, slope = [], [], []
@@ -360,10 +353,10 @@ def transition_volumes(
     optimality, if a solve fails, or if the handoff volumes do not strictly
     increase with k: either would break the successive ordering.
     """
-    total = total_volume(ambient_dim, space)
     n = ambient_dim - 1
-    grid = _volume_grid(total, _SCAN_POINTS)
-    perims, radii = _tube_table(ambient_dim, grid, space)
+    grid = _volume_grid(total_volume(ambient_dim), _SCAN_POINTS)
+    cover = _cover(space)
+    perims, radii = _tube_table(ambient_dim, grid)
     out: list[tuple[int, int, float]] = []
     for k in range(n):
         gap_vals = perims[k] - perims[k + 1]
@@ -377,7 +370,7 @@ def transition_volumes(
         # smaller k stops winning.
         i = int(sign_flip[0])
         bracket = (float(grid[i]), float(grid[i + 1]))
-        v_star = _solve_handoff(ambient_dim, k, space, (radii[k, i], radii[k + 1, i]), bracket)
+        v_star = cover * _solve_handoff(ambient_dim, k, (radii[k, i], radii[k + 1, i]), bracket)
         if out and v_star <= out[-1][2]:
             raise CrossingNotFound(f"handoff volume {v_star} for k={k} is not above {out[-1]}")
         out.append((k, k + 1, v_star))
@@ -388,21 +381,11 @@ def successive_check(
     ambient_dim: int, samples: int, space: Space = Space.PROJECTIVE
 ) -> bool:
     """True when the envelope's best k is nondecreasing in volume and every
-    k from 0 to n appears: tube families hand off one after another."""
-    _check_samples(samples, minimum=100)
-    best, _, _ = _envelope(
-        ambient_dim,
-        _volume_grid(total_volume(ambient_dim, space), samples),
-        space,
-    )
+    k from 0 to n appears: tube families hand off one after another.  The
+    answer is the same in both spaces."""
+    _check_int("samples", samples, 100)
+    _cover(space)  # checked, although the answer does not depend on it
+    best, _, _ = _envelope(ambient_dim, _volume_grid(total_volume(ambient_dim), samples))
     if not np.all(np.diff(best) >= 0):
         return False
     return set(np.unique(best).tolist()) == set(range(ambient_dim))
-
-
-def _check_samples(samples: int, minimum: int = 2) -> int:
-    if not isinstance(samples, int) or isinstance(samples, bool):
-        raise ValueError(f"samples must be an integer, got {samples!r}")
-    if samples < minimum:
-        raise ValueError(f"samples must be >= {minimum}, got {samples}")
-    return samples

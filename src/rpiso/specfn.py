@@ -75,6 +75,15 @@ _CF_MAX_ITER = 300
 _CF_LOOP_BELOW = 32
 
 
+def _check_int(name: str, value: int, minimum: int | None = None) -> None:
+    """Raise ValueError unless value is an int (not a bool) and, when
+    minimum is given, at least minimum."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to converge within the depth budget."""
 
@@ -96,9 +105,7 @@ class Quadrature:
             raise ValueError(f"abs_tol must be positive and finite, got {self.abs_tol}")
         if not (self.rel_tol > 0.0 and math.isfinite(self.rel_tol)):
             raise ValueError(f"rel_tol must be positive and finite, got {self.rel_tol}")
-        depth = self.max_depth
-        if not isinstance(depth, int) or isinstance(depth, bool) or depth < 1:
-            raise ValueError(f"max_depth must be an integer >= 1, got {depth}")
+        _check_int("max_depth", self.max_depth, 1)
 
 
 def log_gamma(x: float) -> float:
@@ -131,10 +138,7 @@ def sphere_area(d: int) -> float:
 
     The d = 0 sphere is the two-point set, area 2.
     """
-    if not isinstance(d, int) or isinstance(d, bool):
-        raise ValueError(f"dimension must be an integer, got {d!r}")
-    if d < 0:
-        raise ValueError(f"dimension must be >= 0, got {d}")
+    _check_int("dimension", d, 0)
     half = 0.5 * (d + 1)
     return math.exp(_LN_2 + half * _LN_PI - log_gamma(half))
 
@@ -325,7 +329,8 @@ def cossin_integral(n1: int, n2: int, r: float, q: Quadrature | None = None) -> 
     QuadratureError if the bisection depth budget is exhausted before the
     requested tolerance is met.
     """
-    _check_powers(n1, n2)
+    _check_int("n1", n1, 0)
+    _check_int("n2", n2, 0)
     r = float(r)
     if not (0.0 <= r <= _HALF_PI):
         raise ValueError(f"radius must lie in [0, pi/2], got {r}")
@@ -342,7 +347,8 @@ def cossin_integral_closed(n1: int, n2: int, r: float) -> float:
 
         (1/2) B((n2+1)/2, (n1+1)/2) * I_{sin^2 r}((n2+1)/2, (n1+1)/2).
     """
-    _check_powers(n1, n2)
+    _check_int("n1", n1, 0)
+    _check_int("n2", n2, 0)
     r = float(r)
     if not (0.0 <= r <= _HALF_PI):
         raise ValueError(f"radius must lie in [0, pi/2], got {r}")
@@ -351,11 +357,3 @@ def cossin_integral_closed(n1: int, n2: int, r: float) -> float:
     s = np.sin(np.array([r]))
     c = np.cos(np.array([r]))
     return 0.5 * math.exp(_log_beta(a, b)) * float(_betainc_xc_vec(s * s, c * c, a, b)[0])
-
-
-def _check_powers(n1: int, n2: int) -> None:
-    for name, value in (("n1", n1), ("n2", n2)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if value < 0:
-            raise ValueError(f"{name} must be >= 0, got {value}")

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import CliffordShape, curvature
+from .specfn import _check_int
 
 __all__ = [
     "EigenMode",
@@ -76,10 +77,7 @@ def laplace_eigenvalue(shape: CliffordShape, k1: int, k2: int) -> float | np.nda
     harmonics, so its degree must be 0 or 1.
     """
     for name, value, dim in (("k1", k1, shape.n1), ("k2", k2, shape.n2)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if value < 0:
-            raise ValueError(f"{name} must be >= 0, got {value}")
+        _check_int(name, value, 0)
         if dim == 0 and value > 1:
             raise ValueError(
                 f"{name}={value} has no harmonic on a 0-dimensional factor"
@@ -126,11 +124,8 @@ def stability_interval(n1: int, n2: int) -> tuple[float, float]:
 
         tan(lo) = sqrt(n2 / (n1 + 2)),  tan(hi) = sqrt((n2 + 2) / n1).
     """
-    for name, value in (("n1", n1), ("n2", n2)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+    _check_int("n1", n1, 1)
+    _check_int("n2", n2, 1)
     lo = math.atan(math.sqrt(n2 / (n1 + 2.0)))
     hi = math.atan(math.sqrt((n2 + 2.0) / n1))
     return lo, hi

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import CliffordShape, _power, area_sphere, curvature
-from .specfn import log_gamma, sphere_area, trigamma
+from .specfn import _check_int, log_gamma, sphere_area, trigamma
 
 __all__ = [
     "WillmoreReport",
@@ -77,7 +77,7 @@ def clifford_area_f(n: int, x: float) -> float:
     H = 0 member of the k-th tube family; as x -> 0 or n it tends to the
     doubled equatorial sphere area 2 |S^n|.
     """
-    _check_n(n)
+    _check_int("n", n, 2)
     x = float(x)
     if not (0.0 < x < n):
         raise ValueError(f"x must lie in (0, {n}), got {x}")
@@ -100,7 +100,7 @@ def logf_second_derivative(n: int, x: float) -> float:
 
     strictly positive on (0, n) because psi'(t + 1/2) < 1/t.
     """
-    _check_n(n)
+    _check_int("n", n, 2)
     x = float(x)
     if not (0.0 < x < n):
         raise ValueError(f"x must lie in (0, {n}), got {x}")
@@ -116,7 +116,7 @@ def logf_second_derivative(n: int, x: float) -> float:
 def width_candidate(n: int) -> float:
     """Conjectured min-max width sigma_n = f(floor(n/2)), the area of the
     balanced minimal Clifford shape."""
-    _check_n(n)
+    _check_int("n", n, 2)
     return clifford_area_f(n, float(n // 2))
 
 
@@ -142,7 +142,7 @@ def _convexity_holds(n: int, grid: int = _CONVEXITY_GRID) -> bool:
 def verify_area_chain(n: int) -> bool:
     """True when the interpolating area function is log-convex on a dense
     grid and the integer chain 2 |S^n| > f(p) >= sigma_n holds."""
-    _check_n(n)
+    _check_int("n", n, 2)
     return _chain_holds(n) and _convexity_holds(n)
 
 
@@ -154,11 +154,8 @@ def energy_minimum(n: int, r_samples: int = 10_000) -> tuple[float, int, float]:
     smallest r.  Requires r_samples >= 1000 so the grid resolves the
     minimum well inside typical verification tolerances.
     """
-    _check_n(n)
-    if not isinstance(r_samples, int) or isinstance(r_samples, bool):
-        raise ValueError(f"r_samples must be an integer, got {r_samples!r}")
-    if r_samples < 1000:
-        raise ValueError(f"r_samples must be >= 1000, got {r_samples}")
+    _check_int("n", n, 2)
+    _check_int("r_samples", r_samples, 1000)
     r = _HALF_PI * (np.arange(1, r_samples + 1) / (r_samples + 1))
     best_energy = math.inf
     best_k = -1
@@ -186,10 +183,3 @@ def willmore_report(n: int, r_samples: int = 10_000) -> WillmoreReport:
         chain_ok=_chain_holds(n),
         convexity_ok=_convexity_holds(n),
     )
-
-
-def _check_n(n: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"n must be an integer, got {n!r}")
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")

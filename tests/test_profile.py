@@ -34,6 +34,11 @@ def rp3_ball_volume(r: float) -> float:
     return 2.0 * math.pi * r - math.pi * math.sin(2.0 * r)
 
 
+def s3_ball_pair_volume(r: float) -> float:
+    """Volume of the two antipodal geodesic balls of radius r in S^3."""
+    return 4.0 * math.pi * r - 2.0 * math.pi * math.sin(2.0 * r)
+
+
 class TestTotalVolume:
     def test_rp3_is_half_of_s3(self):
         assert total_volume(3) == pytest.approx(math.pi**2, rel=1e-12)
@@ -63,6 +68,11 @@ class TestTubeVolume:
         fam = TubeFamily(3, 0)
         for r in (0.2, 0.7, 1.1, 1.5):
             assert tube_volume(fam, r) == pytest.approx(rp3_ball_volume(r), rel=1e-12)
+
+    def test_s3_ball_pair_closed_form(self):
+        fam = TubeFamily(3, 0, Space.SPHERE_ANTIPODAL)
+        for r in (0.2, 0.7, 1.1, 1.5):
+            assert tube_volume(fam, r) == pytest.approx(s3_ball_pair_volume(r), rel=1e-12)
 
     def test_empty_at_zero(self):
         for k in range(4):
@@ -258,6 +268,12 @@ class TestProfileAt:
         assert point.perimeter == pytest.approx(math.pi**2, abs=1e-9)
         assert point.best_r == pytest.approx(math.pi / 4.0, abs=1e-11)
 
+    def test_s3_half_volume_is_clifford_torus(self):
+        point = profile_at(3, math.pi**2, Space.SPHERE_ANTIPODAL)
+        assert point.best_k == 1
+        assert point.perimeter == pytest.approx(2.0 * math.pi**2, rel=1e-12)
+        assert point.best_r == pytest.approx(math.pi / 4.0, abs=1e-11)
+
     def test_beats_every_other_family(self):
         for dim in (4, 6, 9):
             total = total_volume(dim)
@@ -353,6 +369,10 @@ class TestTransitions:
         assert crossings[0][2] + crossings[1][2] == pytest.approx(total, rel=1e-9)
         assert 0.0 < crossings[0][2] < total / 2.0
 
+    def test_s3_pair_sums_to_total(self):
+        crossings = transition_volumes(3, Space.SPHERE_ANTIPODAL)
+        assert crossings[0][2] + crossings[1][2] == pytest.approx(2.0 * math.pi**2, rel=1e-12)
+
     @pytest.mark.parametrize("space", list(Space), ids=lambda s: s.value)
     @pytest.mark.parametrize("dim", range(3, 13))
     def test_handoffs_increase_in_k(self, dim, space):
@@ -386,7 +406,7 @@ class TestTransitions:
         """Scan grid and radii table of RP^dim, and the index of the first
         sign change of the perimeter gap between families k and k + 1."""
         grid = _volume_grid(total_volume(dim), profile._SCAN_POINTS)
-        perims, radii = _tube_table(dim, grid, Space.PROJECTIVE)
+        perims, radii = _tube_table(dim, grid)
         gap = perims[k] - perims[k + 1]
         i = int(np.nonzero(np.signbit(gap[:-1]) != np.signbit(gap[1:]))[0][0])
         return grid, radii, i
@@ -394,11 +414,11 @@ class TestTransitions:
     def test_crossing_finder_raises_when_budget_runs_out(self, monkeypatch):
         grid, radii, i = self._scan(4, 0)
         bracket = (grid[i], grid[i + 1])
-        v = _solve_handoff(4, 0, Space.PROJECTIVE, (radii[0, i], radii[1, i]), bracket)
+        v = _solve_handoff(4, 0, (radii[0, i], radii[1, i]), bracket)
         assert bracket[0] <= v <= bracket[1]
         # Started near empty volume, Newton wanders without converging.
         with pytest.raises(CrossingNotFound, match="steps"):
-            _solve_handoff(4, 0, Space.PROJECTIVE, (radii[0, 0], radii[1, 0]), bracket)
+            _solve_handoff(4, 0, (radii[0, 0], radii[1, 0]), bracket)
         # From the scan start it needs more than one step.
         monkeypatch.setattr(profile, "_MAX_NEWTON", 1)
         with pytest.raises(CrossingNotFound, match="steps"):
@@ -408,11 +428,11 @@ class TestTransitions:
         grid, radii, i = self._scan(3, 0)
         start = (radii[0, i], radii[1, i])
         with pytest.raises(CrossingNotFound, match="bracket"):
-            _solve_handoff(3, 0, Space.PROJECTIVE, start, (grid[i + 1], grid[i + 2]))
+            _solve_handoff(3, 0, start, (grid[i + 1], grid[i + 2]))
         # Started near empty volume, an iterate leaves (0, pi/2).
         far = (radii[0, 0], radii[1, 0])
         with pytest.raises(CrossingNotFound, match="left"):
-            _solve_handoff(3, 0, Space.PROJECTIVE, far, (grid[i], grid[i + 1]))
+            _solve_handoff(3, 0, far, (grid[i], grid[i + 1]))
 
 
 class TestSuccessive:

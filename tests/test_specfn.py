@@ -21,7 +21,18 @@ from rpiso.specfn import (
     sphere_area,
     trigamma,
 )
-from rpiso.profile import TubeFamily, profile_at, radius_for_volume, total_volume, tube_volume
+from rpiso.clifford import CliffordShape
+from rpiso.profile import (
+    TubeFamily,
+    profile_at,
+    profile_curve,
+    radius_for_volume,
+    successive_check,
+    total_volume,
+    tube_volume,
+)
+from rpiso.spectrum import laplace_eigenvalue, stability_interval
+from rpiso.willmore import energy_minimum
 
 HALF_PI = 0.5 * math.pi
 
@@ -268,3 +279,28 @@ class TestCossinIntegral:
             Quadrature(max_depth=0)
         with pytest.raises(ValueError):
             Quadrature(max_depth=True)
+
+
+# Integer arguments, one entry point each, given a bool or a float: the
+# shared check rejects both and names the argument.
+_NON_INTEGERS = [
+    pytest.param("ambient_dim", lambda: TubeFamily(True, 0), id="TubeFamily-bool"),
+    pytest.param("ambient_dim", lambda: TubeFamily(3.0, 0), id="TubeFamily-float"),
+    pytest.param("ambient_dim", lambda: total_volume(True), id="total_volume"),
+    pytest.param("dimension", lambda: sphere_area(True), id="sphere_area"),
+    pytest.param("n1", lambda: CliffordShape(True, 1, 0.3), id="CliffordShape"),
+    pytest.param("n1", lambda: stability_interval(True, 1), id="stability_interval"),
+    pytest.param(
+        "k1", lambda: laplace_eigenvalue(CliffordShape(2, 3, 0.4), True, 0), id="laplace_eigenvalue"
+    ),
+    pytest.param("r_samples", lambda: energy_minimum(4, True), id="energy_minimum"),
+    pytest.param("samples", lambda: profile_curve(4, True), id="profile_curve"),
+    pytest.param("samples", lambda: successive_check(4, 300.0), id="successive_check"),
+    pytest.param("n1", lambda: cossin_integral(True, 1, 0.3), id="cossin_integral"),
+]
+
+
+@pytest.mark.parametrize("name,call", _NON_INTEGERS)
+def test_integer_arguments_reject_bool_and_float(name, call):
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
+        call()
