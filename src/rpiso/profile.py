@@ -27,13 +27,14 @@ above half volume, so radii keep their relative accuracy in both tails.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .clifford import CliffordShape, area_rp, curvature
-from .specfn import _betainc_xc_vec, _check_int, log_gamma, sphere_area
+from .specfn import _betainc_xc_vec, _check_int, _log_beta, sphere_area
 
 __all__ = [
     "Space",
@@ -131,11 +132,14 @@ def _cover(space: Space) -> float:
 
 def _rp_volume(ambient_dim: int, v: float, space: Space) -> float:
     """The volume v of the given space in RP^d units, once it is checked to
-    lie strictly inside (0, total)."""
+    lie in (0, total) at a fraction of at least sys.float_info.min."""
     total = total_volume(ambient_dim, space)
     if not (0.0 < v < total):
         raise ValueError(f"volume must lie in (0, {total}), got {v}")
-    return v / _cover(space)
+    rp_v = v / _cover(space)
+    if rp_v / total_volume(ambient_dim) < sys.float_info.min:
+        raise ValueError(f"volume must be at least {sys.float_info.min} of {total}, got {v}")
+    return rp_v
 
 
 def _volume_fraction(n: int, k: int, r: np.ndarray) -> np.ndarray:
@@ -167,8 +171,9 @@ def tube_perimeter(fam: TubeFamily, r: float | np.ndarray) -> float | np.ndarray
 
 
 def radius_for_volume(fam: TubeFamily, v: float) -> float:
-    """Latitude whose tube encloses volume v, for v strictly inside
-    (0, total): the batched solve on one element."""
+    """Latitude whose tube encloses volume v, for v in (0, total) and at
+    least sys.float_info.min (2.2e-308) of the total, else ValueError: the
+    batched solve on one element."""
     v = _rp_volume(fam.ambient_dim, float(v), fam.space)
     frac = np.array([v]) / total_volume(fam.ambient_dim)
     return float(_radii_for_fractions(fam.n, fam.k, frac)[0])
@@ -208,7 +213,7 @@ def _invert_lower_fraction(y: np.ndarray, p: float, q: float) -> np.ndarray:
     converged step may land on a bracket end.  Raises RuntimeError after
     _MAX_RADIUS_STEPS steps.
     """
-    ln_beta = log_gamma(p) + log_gamma(q) - log_gamma(p + q)
+    ln_beta = _log_beta(p, q)
     t = np.minimum(np.power(y, 0.5 / p) * math.exp(0.5 * (math.log(p) + ln_beta) / p), 1.2)
     # I = t^(2p) / (p B) (1 + c t^2 + ...) with |c| < p + q, so there the
     # start is within 1e-16 / (2p) relative of the root.
@@ -271,7 +276,8 @@ def _envelope(
 def profile_at(
     ambient_dim: int, v: float, space: Space = Space.PROJECTIVE
 ) -> ProfilePoint:
-    """Best tube boundary enclosing volume v among all core dimensions k."""
+    """Best tube boundary enclosing volume v among all core dimensions k,
+    for v in (0, total) and at least sys.float_info.min of the total."""
     v = float(v)
     best, perim, radius = _envelope(ambient_dim, np.array([_rp_volume(ambient_dim, v, space)]))
     return ProfilePoint(
@@ -377,14 +383,11 @@ def transition_volumes(
     return out
 
 
-def successive_check(
-    ambient_dim: int, samples: int, space: Space = Space.PROJECTIVE
-) -> bool:
+def successive_check(ambient_dim: int, samples: int) -> bool:
     """True when the envelope's best k is nondecreasing in volume and every
-    k from 0 to n appears: tube families hand off one after another.  The
-    answer is the same in both spaces."""
+    k from 0 to n appears: tube families hand off one after another.  Radii
+    and best k are the same in both spaces, so there is one answer."""
     _check_int("samples", samples, 100)
-    _cover(space)  # checked, although the answer does not depend on it
     best, _, _ = _envelope(ambient_dim, _volume_grid(total_volume(ambient_dim), samples))
     if not np.all(np.diff(best) >= 0):
         return False

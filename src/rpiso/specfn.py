@@ -1,4 +1,4 @@
-"""Scalar special functions and adaptive quadrature.
+"""Special functions and adaptive quadrature.
 
 Self-contained double-precision building blocks for the geometry modules:
 sphere surface areas, log-gamma (fixed Lanczos coefficient table), trigamma
@@ -143,31 +143,34 @@ def sphere_area(d: int) -> float:
     return math.exp(_LN_2 + half * _LN_PI - log_gamma(half))
 
 
-def trigamma(x: float) -> float:
-    """Trigamma function psi'(x) = sum_{l>=0} 1/(x+l)^2 for x > 0.
+def trigamma(x: float | np.ndarray) -> float | np.ndarray:
+    """Trigamma function psi'(x) = sum_{l>=0} 1/(x+l)^2 for x > 0, a float
+    or a 1-D array; a float takes an element's numpy steps (+ - * / only)
+    and comes back a float, so array and scalar calls agree bit for bit.
 
-    Upward recurrence psi'(x) = psi'(x+1) + 1/x^2 shifts the argument to
+    Upward recurrence psi'(x) = psi'(x+1) + 1/x^2 shifts each argument to
     x >= 10, where the Bernoulli asymptotic tail is applied.  Absolute
     error stays below 1e-12 on (0, 60]; the floor is set by rounding of
     the dominant 1/x^2 term at small arguments.  Below x ~ 7.5e-155 the
     value overflows and inf is returned.
     """
-    x = float(x)
-    if not (x > 0.0):
-        raise ValueError(f"trigamma requires x > 0, got {x}")
-    if x * x == 0.0:
-        return math.inf
-    acc = 0.0
-    while x < _TRIGAMMA_SHIFT:
-        acc += 1.0 / (x * x)
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    tail = 1.0 / x + 0.5 * inv2
-    power = inv2 / x
-    for coeff in _TRIGAMMA_TAIL:
-        tail += coeff * power
-        power *= inv2
-    return acc + tail
+    t = np.array(x, dtype=float) if isinstance(x, np.ndarray) else np.float64(float(x))
+    if t.ndim > 1 or not (t > 0.0).all():
+        raise ValueError(f"trigamma requires a float or 1-D array of x > 0, got {x}")
+    with np.errstate(divide="ignore", over="ignore"):  # 1/x^2 overflows to inf
+        acc = 0.0
+        # Elements already at the threshold add 0.0 and stay put, exactly.
+        while (low := t < _TRIGAMMA_SHIFT).any():
+            acc += low * (1.0 / (t * t))
+            t = t + low
+        inv2 = 1.0 / (t * t)
+        tail = 1.0 / t + 0.5 * inv2
+        power = inv2 / t
+        for coeff in _TRIGAMMA_TAIL:
+            tail += coeff * power
+            power *= inv2
+        out = acc + tail
+    return out if isinstance(x, np.ndarray) else float(out)
 
 
 def _betacf(a: float, b: float, x: float) -> float:

@@ -41,7 +41,6 @@ _HALF_PI = 0.5 * math.pi
 _LN_PI = math.log(math.pi)
 _LN_2 = math.log(2.0)
 
-_CONVEXITY_GRID = 1000
 _CHAIN_SLACK = 1e-12
 
 
@@ -93,24 +92,26 @@ def clifford_area_f(n: int, x: float) -> float:
     return math.exp(ln)
 
 
-def logf_second_derivative(n: int, x: float) -> float:
-    """Second derivative of log f:
+def logf_second_derivative(n: int, x: float | np.ndarray) -> float | np.ndarray:
+    """Second derivative of log f at x, a float or a 1-D array in (0, n),
+    equal bit for bit to the scalar calls:
 
         -(1/4) psi'((x+1)/2) - (1/4) psi'((n-x+1)/2) + 1/(2x) + 1/(2(n-x)),
 
     strictly positive on (0, n) because psi'(t + 1/2) < 1/t.
     """
     _check_int("n", n, 2)
-    x = float(x)
-    if not (0.0 < x < n):
-        raise ValueError(f"x must lie in (0, {n}), got {x}")
+    x = np.array(x, dtype=float) if isinstance(x, np.ndarray) else float(x)
+    if not (np.ndim(x) <= 1 and np.all((0.0 < x) & (x < n))):
+        raise ValueError(f"x must be a float or 1-D array in (0, {n}), got {x}")
     y = n - x
-    return (
-        -0.25 * trigamma(0.5 * (x + 1.0))
-        - 0.25 * trigamma(0.5 * (y + 1.0))
-        + 0.5 / x
-        + 0.5 / y
-    )
+    with np.errstate(over="ignore"):  # 0.5 / x is inf at a subnormal x, as for a float
+        return (
+            -0.25 * trigamma(0.5 * (x + 1.0))
+            - 0.25 * trigamma(0.5 * (y + 1.0))
+            + 0.5 / x
+            + 0.5 / y
+        )
 
 
 def width_candidate(n: int) -> float:
@@ -133,10 +134,10 @@ def _chain_holds(n: int) -> bool:
     return True
 
 
-def _convexity_holds(n: int, grid: int = _CONVEXITY_GRID) -> bool:
-    """(log f)'' > 0 on a uniform grid spanning (0, n)."""
-    xs = np.linspace(0.01 * n, 0.99 * n, grid)
-    return all(logf_second_derivative(n, float(x)) > 0.0 for x in xs)
+def _convexity_holds(n: int) -> bool:
+    """(log f)'' > 0 on a uniform 1000-point grid spanning (0, n)."""
+    xs = np.linspace(0.01 * n, 0.99 * n, 1000)
+    return bool(np.all(logf_second_derivative(n, xs) > 0.0))
 
 
 def verify_area_chain(n: int) -> bool:
@@ -150,25 +151,17 @@ def energy_minimum(n: int, r_samples: int = 10_000) -> tuple[float, int, float]:
     """Brute-force minimum of the tube Willmore energy over k in {0, .., n}
     and a uniform interior latitude grid of r_samples points.
 
-    Returns (energy, k, r); ties resolve to the smallest k and then the
-    smallest r.  Requires r_samples >= 1000 so the grid resolves the
-    minimum well inside typical verification tolerances.
+    Returns (energy, k, r) at the first minimum of the row-major (k, r)
+    table: ties resolve to the smallest k and then the smallest r.
+    Requires r_samples >= 1000 so the grid resolves the minimum well inside
+    typical verification tolerances.
     """
     _check_int("n", n, 2)
     _check_int("r_samples", r_samples, 1000)
     r = _HALF_PI * (np.arange(1, r_samples + 1) / (r_samples + 1))
-    best_energy = math.inf
-    best_k = -1
-    best_r = math.nan
-    for k in range(n + 1):
-        energy = tube_willmore_energy(CliffordShape(k, n - k, r))
-        j = int(np.argmin(energy))
-        value = float(energy[j])
-        if value < best_energy:
-            best_energy = value
-            best_k = k
-            best_r = float(r[j])
-    return best_energy, best_k, best_r
+    energy = np.array([tube_willmore_energy(CliffordShape(k, n - k, r)) for k in range(n + 1)])
+    k, j = np.unravel_index(np.argmin(energy), energy.shape)
+    return float(energy[k, j]), int(k), float(r[j])
 
 
 def willmore_report(n: int, r_samples: int = 10_000) -> WillmoreReport:

@@ -134,14 +134,46 @@ class TestTrigamma:
             ref = float(mpmath.psi(1, mpmath.mpf(float(x))))
             assert trigamma(float(x)) == pytest.approx(ref, rel=1e-13)
 
+    def test_array_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        xs = np.geomspace(1e-150, 60.0, 300)
+        refs = [float(mpmath.psi(1, mpmath.mpf(x))) for x in xs.tolist()]
+        assert trigamma(xs) == pytest.approx(refs, rel=1e-13)
+
     def test_overflow_returns_inf(self):
         # 1/x^2 exceeds the largest double; x * x itself underflows to 0.
         assert trigamma(1e-200) == math.inf
         assert trigamma(5e-324) == math.inf
 
+    def test_array_equals_scalar_calls(self):
+        # Overflowing, shifted, unshifted and x * x overflowing elements.
+        xs = np.concatenate(
+            [
+                [5e-324, 1e-200, 1e-160, 7.5e-155],
+                np.geomspace(1e-150, 60.0, 400),
+                np.random.default_rng(8).uniform(0.0, 12.0, 200),
+                [9.999999999999998, 10.0, 1e200],
+            ]
+        )
+        vals = trigamma(xs)
+        assert isinstance(vals, np.ndarray) and vals.shape == xs.shape
+        singles = [trigamma(x) for x in xs.tolist()]
+        assert all(type(v) is float for v in singles)
+        assert [v.hex() for v in vals.tolist()] == [v.hex() for v in singles]
+        assert np.isinf(vals[:3]).all() and np.isfinite(vals[3:]).all()
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             trigamma(0.0)
+
+    @pytest.mark.parametrize(
+        "xs",
+        [[1.0, 0.0, 2.0], [1.0, -3.0], [1.0, math.nan], [[1.0, 2.0], [3.0, 4.0]]],
+        ids=["zero", "negative", "nan", "2-D"],
+    )
+    def test_array_rejects_bad_element_or_shape(self, xs):
+        with pytest.raises(ValueError, match="1-D array of x > 0"):
+            trigamma(np.array(xs))
 
 
 class TestRegIncBeta:

@@ -118,6 +118,30 @@ class TestLogfSecondDerivative:
             for x in np.linspace(0.01 * n, 0.99 * n, 500):
                 assert logf_second_derivative(n, float(x)) > 0.0
 
+    @pytest.mark.parametrize("n", [2, 3, 9, 25, 50])
+    def test_array_equals_scalar_calls(self, n):
+        xs = np.concatenate(
+            [
+                np.linspace(0.01 * n, 0.99 * n, 500),
+                np.random.default_rng(n).uniform(0.0, n, 100),
+                [1e-300, 5e-324, n - 1e-13],
+            ]
+        )
+        vals = logf_second_derivative(n, xs)
+        assert isinstance(vals, np.ndarray) and vals.shape == xs.shape
+        singles = [logf_second_derivative(n, x) for x in xs.tolist()]
+        assert all(type(v) is float for v in singles)
+        assert [v.hex() for v in vals.tolist()] == [v.hex() for v in singles]
+
+    @pytest.mark.parametrize(
+        "xs",
+        [[1.0, 0.0], [1.0, 3.0], [1.0, -0.5], [1.0, math.nan], [[1.0, 2.0]]],
+        ids=["zero", "n", "negative", "nan", "2-D"],
+    )
+    def test_array_rejects_bad_element_or_shape(self, xs):
+        with pytest.raises(ValueError, match=r"float or 1-D array in \(0, 3\)"):
+            logf_second_derivative(3, np.array(xs))
+
     def test_symmetry_point(self):
         for n in (2, 4, 10):
             mid = n / 2.0
@@ -204,6 +228,19 @@ class TestEnergyMinimum:
     def test_rejects_coarse_grid(self):
         with pytest.raises(ValueError):
             energy_minimum(3, 500)
+
+    @pytest.mark.parametrize("samples", [1000, 10_000])
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_equals_per_family_reference_loop(self, n, samples):
+        # Best so far over the families, each at its first minimum in r.
+        r = HALF_PI * (np.arange(1, samples + 1) / (samples + 1))
+        best = (math.inf, -1, math.nan)
+        for k in range(n + 1):
+            energy = tube_willmore_energy(CliffordShape(k, n - k, r))
+            j = int(np.argmin(energy))
+            if energy[j] < best[0]:
+                best = (float(energy[j]), k, float(r[j]))
+        assert energy_minimum(n, samples) == best
 
 
 class TestWillmoreReport:
