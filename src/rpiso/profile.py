@@ -132,12 +132,13 @@ def _cover(space: Space) -> float:
 
 def _rp_volume(ambient_dim: int, v: float, space: Space) -> float:
     """The volume v of the given space in RP^d units, once it is checked to
-    lie in (0, total) at a fraction of at least sys.float_info.min."""
-    total = total_volume(ambient_dim, space)
+    lie in (0, total) at an RP^d fraction of at least sys.float_info.min."""
+    rp_total = total_volume(ambient_dim)
+    total = _cover(space) * rp_total
     if not (0.0 < v < total):
         raise ValueError(f"volume must lie in (0, {total}), got {v}")
     rp_v = v / _cover(space)
-    if rp_v / total_volume(ambient_dim) < sys.float_info.min:
+    if rp_v / rp_total < sys.float_info.min:
         raise ValueError(f"volume must be at least {sys.float_info.min} of {total}, got {v}")
     return rp_v
 

@@ -258,24 +258,32 @@ class TestRadiusTails:
 
 
 class TestSmallestVolume:
-    """Volume fractions below sys.float_info.min are rejected up front: at a
-    subnormal fraction the radius solve's asymptotic start underflows."""
+    """Volume fractions v / total below sys.float_info.min are rejected up
+    front: at a subnormal fraction the radius solve's asymptotic start
+    underflows.  Accepted volumes sit at twice the bound, clear of the
+    rounding of min * total / total; at dim 30 the total is below 1, so in
+    the sphere the accepted volume is itself subnormal."""
+
+    REJECTED = f"at least {sys.float_info.min} of "
 
     @pytest.mark.parametrize("space", list(Space))
-    @pytest.mark.parametrize("dim", [3, 8])
+    @pytest.mark.parametrize("dim", [3, 8, 30])
     def test_profile_at_rejects_subnormal_fraction(self, dim, space):
-        smallest = sys.float_info.min * total_volume(dim, space)
-        with pytest.raises(ValueError, match=f"at least {sys.float_info.min} of "):
-            profile_at(dim, 5e-324, space)
-        assert profile_at(dim, smallest, space).best_k == 0
+        total = total_volume(dim, space)
+        for v in (5e-324, 0.5 * sys.float_info.min * total):
+            with pytest.raises(ValueError, match=self.REJECTED):
+                profile_at(dim, v, space)
+        assert profile_at(dim, 2.0 * sys.float_info.min * total, space).best_k == 0
 
     @pytest.mark.parametrize("space", list(Space))
     @pytest.mark.parametrize("k", [0, 2])
     def test_radius_for_volume_rejects_subnormal_fraction(self, k, space):
         fam = TubeFamily(3, k, space)
-        with pytest.raises(ValueError, match=f"at least {sys.float_info.min} of "):
-            radius_for_volume(fam, 5e-324)
-        assert radius_for_volume(fam, sys.float_info.min * total_volume(3, space)) > 0.0
+        total = total_volume(3, space)
+        for v in (5e-324, 0.5 * sys.float_info.min * total):
+            with pytest.raises(ValueError, match=self.REJECTED):
+                radius_for_volume(fam, v)
+        assert radius_for_volume(fam, 2.0 * sys.float_info.min * total) > 0.0
 
     def test_tiny_normal_fraction_still_answers(self):
         point = profile_at(3, 1e-300)

@@ -229,10 +229,10 @@ class TestEnergyMinimum:
         with pytest.raises(ValueError):
             energy_minimum(3, 500)
 
-    @pytest.mark.parametrize("samples", [1000, 10_000])
-    @pytest.mark.parametrize("n", range(2, 10))
-    def test_equals_per_family_reference_loop(self, n, samples):
-        # Best so far over the families, each at its first minimum in r.
+    @staticmethod
+    def _reference_loop(n, samples):
+        # Best so far over the families, each at its first minimum in r; a
+        # family whose first minimum is NaN never compares below the best.
         r = HALF_PI * (np.arange(1, samples + 1) / (samples + 1))
         best = (math.inf, -1, math.nan)
         for k in range(n + 1):
@@ -240,7 +240,26 @@ class TestEnergyMinimum:
             j = int(np.argmin(energy))
             if energy[j] < best[0]:
                 best = (float(energy[j]), k, float(r[j]))
-        assert energy_minimum(n, samples) == best
+        return best
+
+    @pytest.mark.parametrize("samples", [1000, 10_000])
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_equals_per_family_reference_loop(self, n, samples):
+        assert energy_minimum(n, samples) == self._reference_loop(n, samples)
+
+    @pytest.mark.parametrize("n", [100, 150])
+    def test_nan_families_left_out_as_by_the_reference_loop(self, n):
+        # 0 * inf at the grid ends puts NaN in some families at n = 100
+        # and in every family at n = 150.
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = self._reference_loop(n, 10_000)
+            got = energy_minimum(n)
+        if n == 100:
+            assert math.isfinite(got[0]) and got[1] == 50
+        else:
+            assert got[0] == math.inf and got[1] == -1 and math.isnan(got[2])
+            got, expected = got[:2], expected[:2]
+        assert got == expected
 
 
 class TestWillmoreReport:
