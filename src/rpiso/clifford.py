@@ -12,7 +12,7 @@ areas answer per element, equal bit for bit to the scalar calls.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -31,15 +31,38 @@ __all__ = [
 _HALF_PI = 0.5 * math.pi
 
 
-@dataclass(frozen=True)
-class CliffordShape:
+class _ArrayFields:
+    """== and hash for a frozen dataclass (declared with eq=False) whose
+    fields may hold numpy arrays.  Fields compare and hash as in the
+    generated methods, except that an array field compares by dtype, shape
+    and bytes and hashes those; for latitudes in (0, pi/2), which hold
+    neither NaN nor -0.0, that is np.array_equal."""
+
+    def _key(self) -> tuple:
+        values = (getattr(self, f.name) for f in fields(self) if f.compare)
+        return tuple(
+            (v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
+            for v in values
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+@dataclass(frozen=True, eq=False)
+class CliffordShape(_ArrayFields):
     """Latitude-r product sphere S^n1(cos r) x S^n2(sin r) in S^(n1+n2+1).
 
     Factor dimensions may be zero (a geodesic sphere about a lower
     dimensional core) but not both; the latitude r must be strictly
     between 0 and pi/2 so neither factor collapses.  r is a float or a
-    1-D float array (a read-only copy is kept, and such a shape supports
-    neither == nor hash); cos_r and sin_r are evaluated once, here.
+    1-D float array (a read-only copy is kept, compared and hashed by its
+    contents); cos_r and sin_r are evaluated once, here.
     """
 
     n1: int

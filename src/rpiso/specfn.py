@@ -133,14 +133,24 @@ def _log_beta(a: float, b: float) -> float:
     return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
 
 
+def _log_norm(a: float, b: float) -> float:
+    """log(1 / B(a, b)), the incomplete beta's normaliser."""
+    return log_gamma(a + b) - log_gamma(a) - log_gamma(b)
+
+
 def sphere_area(d: int) -> float:
     """Surface area of the unit d-sphere, 2 pi^((d+1)/2) / Gamma((d+1)/2).
 
     The d = 0 sphere is the two-point set, area 2.
     """
     _check_int("dimension", d, 0)
+    return math.exp(_log_sphere_area(d))
+
+
+def _log_sphere_area(d: int) -> float:
+    """log |S^d|, finite where |S^d| itself underflows (d above about 400)."""
     half = 0.5 * (d + 1)
-    return math.exp(_LN_2 + half * _LN_PI - log_gamma(half))
+    return _LN_2 + half * _LN_PI - log_gamma(half)
 
 
 def trigamma(x: float | np.ndarray) -> float | np.ndarray:
@@ -253,18 +263,22 @@ def _betacf_vec(a: float, b: float, x: np.ndarray) -> np.ndarray:
     )
 
 
-def _betainc_xc_vec(x: np.ndarray, xc: np.ndarray, a: float, b: float) -> np.ndarray:
+def _betainc_xc_vec(
+    x: np.ndarray, xc: np.ndarray, a: float, b: float, ln_norm: float | None = None
+) -> np.ndarray:
     """Regularized incomplete beta I_x(a, b) per element, with the
     complement xc = 1 - x supplied by the caller.  Passing an independently
     computed complement (for example cos^2 r alongside sin^2 r) preserves
-    accuracy near x = 1."""
+    accuracy near x = 1.  A caller that evaluates the same (a, b) many times
+    may pass ln_norm = _log_norm(a, b), the value computed here otherwise."""
     x = np.asarray(x, dtype=float)
     xc = np.asarray(xc, dtype=float)
     out = np.where(x <= 0.0, 0.0, 1.0)
     mid = ~((x <= 0.0) | (xc <= 0.0))
     direct = mid & (x < (a + 1.0) / (a + b + 2.0))
     flipped = mid & ~direct
-    ln_norm = log_gamma(a + b) - log_gamma(a) - log_gamma(b)
+    if ln_norm is None:
+        ln_norm = _log_norm(a, b)
     with np.errstate(divide="ignore"):  # log 0 at the endpoints, overwritten below
         front = np.exp(ln_norm + a * np.log(x) + b * np.log(xc))
     if direct.any():

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import CliffordShape, curvature
+from .clifford import CliffordShape, _ArrayFields, curvature
 from .specfn import _check_int
 
 __all__ = [
@@ -42,8 +42,8 @@ STABILITY_SLACK = 1e-12
 _EVEN_CANDIDATES = ((1, 1), (2, 0), (0, 2))
 
 
-@dataclass(frozen=True)
-class EigenMode:
+@dataclass(frozen=True, eq=False)
+class EigenMode(_ArrayFields):
     """One separated eigenmode: factor degrees and its Laplace eigenvalue
     (integer and float arrays for an array-valued shape)."""
 
@@ -52,8 +52,8 @@ class EigenMode:
     value: float | np.ndarray
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+@dataclass(frozen=True, eq=False)
+class StabilityReport(_ArrayFields):
     """Stability summary of one Clifford shape.
 
     margin = lambda1 - n - |A|^2 where lambda1 is the first positive even

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import CliffordShape, _power, area_sphere, curvature
-from .specfn import _check_int, log_gamma, sphere_area, trigamma
+from .clifford import CliffordShape, curvature
+from .specfn import _check_int, _log_sphere_area, log_gamma, sphere_area, trigamma
 
 __all__ = [
     "WillmoreReport",
@@ -61,9 +61,22 @@ class WillmoreReport:
 
 def tube_willmore_energy(shape: CliffordShape) -> float | np.ndarray:
     """Willmore energy area(shape) * (1 + H^2)^(n/2) of the shape in the
-    unit sphere; an array per latitude for an array-valued shape."""
+    unit sphere; an array per latitude for an array-valued shape.
+
+    Taken in log space, since near r = 0 or pi/2 the area underflows while
+    (1 + H^2)^(n/2) overflows.  Each group of terms is symmetric under
+    (n1, n2, cos r, sin r) -> (n2, n1, sin r, cos r), so mirror families
+    k and n - k tie exactly at mirror latitudes.
+    """
     mean = curvature(shape).mean
-    return area_sphere(shape) * _power(1.0 + mean * mean, shape.n / 2.0)
+    log_energy = (
+        (_log_sphere_area(shape.n1) + _log_sphere_area(shape.n2))
+        + (shape.n1 * np.log(shape.cos_r) + shape.n2 * np.log(shape.sin_r))
+        + 0.5 * shape.n * np.log1p(mean * mean)
+    )
+    with np.errstate(over="ignore"):
+        energy = np.exp(log_energy)
+    return energy if isinstance(shape.r, np.ndarray) else float(energy)
 
 
 def clifford_area_f(n: int, x: float) -> float:
@@ -146,9 +159,7 @@ def energy_minimum(n: int, r_samples: int = 10_000) -> tuple[float, int, float]:
     and a uniform interior latitude grid of r_samples points.
 
     Returns (energy, k, r) at the first minimum of the row-major (k, r)
-    table: ties resolve to the smallest k and then the smallest r.  A
-    family with a NaN on the grid (0 * inf at the grid ends, from n = 82 on
-    the default grid) is left out; with none left, returns (inf, -1, nan).
+    table: ties resolve to the smallest k and then the smallest r.
     Requires r_samples >= 1000 so the grid resolves the minimum well inside
     typical verification tolerances.
     """
@@ -156,10 +167,7 @@ def energy_minimum(n: int, r_samples: int = 10_000) -> tuple[float, int, float]:
     _check_int("r_samples", r_samples, 1000)
     r = _HALF_PI * (np.arange(1, r_samples + 1) / (r_samples + 1))
     energy = np.array([tube_willmore_energy(CliffordShape(k, n - k, r)) for k in range(n + 1)])
-    energy[np.isnan(energy).any(axis=1)] = np.inf
     k, j = np.unravel_index(np.argmin(energy), energy.shape)
-    if energy[k, j] == np.inf:
-        return math.inf, -1, math.nan
     return float(energy[k, j]), int(k), float(r[j])
 
 

@@ -267,3 +267,28 @@ class TestArrayLatitudes:
         assert shape.cos_r[0] == math.cos(LATITUDES[0])
         with pytest.raises(ValueError):
             shape.r[0] = 1.0
+
+    def test_compares_and_hashes_by_contents(self):
+        shape = CliffordShape(2, 3, LATITUDES)
+        same = CliffordShape(2, 3, LATITUDES.copy())
+        assert shape == same and hash(shape) == hash(same)
+        assert len({shape, same}) == 1
+        moved = LATITUDES.copy()
+        moved[7] = np.nextafter(moved[7], 0.0)
+        for other in (
+            CliffordShape(2, 3, moved),
+            CliffordShape(2, 3, LATITUDES[:-1]),
+            CliffordShape(3, 2, LATITUDES),
+            CliffordShape(2, 3, float(LATITUDES[0])),
+        ):
+            assert shape != other
+
+
+class TestScalarEquality:
+    def test_scalar_shapes_compare_and_hash_as_field_tuples(self):
+        shape = CliffordShape(2, 3, 0.7)
+        assert shape == CliffordShape(2, 3, 0.7)
+        assert shape != CliffordShape(2, 3, 0.71)
+        assert shape != CliffordShape(3, 2, 0.7)
+        assert hash(shape) == hash((2, 3, 0.7))
+        assert shape.__eq__((2, 3, 0.7)) is NotImplemented

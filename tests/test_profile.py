@@ -240,6 +240,35 @@ class TestRadiusTails:
                 ref = _mp_radius(dim - 1, k, f, r)
                 assert abs(r - ref) <= 1e-12 * ref, (k, f, r, ref)
 
+    @pytest.mark.parametrize("dim", [3, 10, 30, 60])
+    def test_bulk_radius_against_mpmath(self, dim):
+        # Seeded interior fractions: most elements stop on the Halley error
+        # estimate, without the evaluation that would confirm the step.
+        pytest.importorskip("mpmath")
+        fracs = np.random.default_rng(dim).uniform(1e-3, 1.0 - 1e-3, 20)
+        for k in range(dim):
+            radii = profile._radii_for_fractions(dim - 1, k, fracs)
+            for f, r in zip(fracs.tolist(), radii.tolist()):
+                ref = _mp_radius(dim - 1, k, f, r)
+                assert abs(r - ref) <= 1e-13 * ref, (k, f, r, ref)
+
+    def test_few_incomplete_beta_evaluations_per_solve(self, monkeypatch):
+        # Halley steps plus the error-estimate stop: under three evaluated
+        # elements per (volume, family) solve on the profile grids.
+        evaluated = 0
+        betainc = profile._betainc_xc_vec
+
+        def counting(x, *args, **kwargs):
+            nonlocal evaluated
+            evaluated += np.size(x)
+            return betainc(x, *args, **kwargs)
+
+        monkeypatch.setattr(profile, "_betainc_xc_vec", counting)
+        dims = range(3, 17)
+        for dim in dims:
+            profile_curve(dim, 2000)
+        assert evaluated <= 3.0 * 2000 * sum(dims)
+
     @pytest.mark.parametrize("dim", range(3, 31))
     def test_best_family_at_both_ends(self, dim):
         total = total_volume(dim)

@@ -170,6 +170,13 @@ class TestStabilityReport:
         assert (report.interval_lo, report.interval_hi) == (lo, hi)
         assert report.stable == (report.margin >= -1e-12)
 
+    def test_array_reports_compare_and_hash_by_contents(self):
+        rs = np.linspace(0.1, HALF_PI - 0.1, 50)
+        report = stability_report(CliffordShape(2, 3, rs))
+        same = stability_report(CliffordShape(2, 3, rs.copy()))
+        assert report == same and hash(report) == hash(same)
+        assert report != stability_report(CliffordShape(2, 3, rs[:-1]))
+
     def test_verdict_tracks_interval(self):
         lo, hi = stability_interval(1, 2)
         mid = 0.5 * (lo + hi)
