@@ -32,7 +32,6 @@ from .profile import (
     tube_volume,
 )
 from .specfn import (
-    Quadrature,
     QuadratureError,
     cossin_integral,
     cossin_integral_closed,
@@ -69,7 +68,6 @@ __all__ = [
     "CrossingNotFound",
     "EigenMode",
     "ProfilePoint",
-    "Quadrature",
     "QuadratureError",
     "Space",
     "StabilityReport",

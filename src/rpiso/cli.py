@@ -26,7 +26,7 @@ from .clifford import CliffordShape
 from .profile import CrossingNotFound, Space, profile_curve, total_volume, transition_volumes
 from .spectrum import stability_report
 from .specfn import QuadratureError, sphere_area
-from .willmore import clifford_area_f, width_candidate, willmore_report
+from .willmore import _MAX_N, clifford_area_f, width_candidate, willmore_report
 
 __all__ = ["build_parser", "main"]
 
@@ -51,7 +51,7 @@ class _Report(NamedTuple):
     status: int = 0
 
 
-def _int_at_least(minimum: int) -> Callable[[str], int]:
+def _int_range(minimum: int, maximum: int | None = None) -> Callable[[str], int]:
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -59,6 +59,8 @@ def _int_at_least(minimum: int) -> Callable[[str], int]:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {value}")
         return value
 
     return parse
@@ -92,9 +94,9 @@ def _flag(*names: str, **kwargs) -> tuple[tuple[str, ...], dict]:
     return names, kwargs
 
 
-def _dim(minimum: int, what: str = "ambient dimension"):
-    text = f"{what} (>= {minimum})"
-    return _flag("--dim", type=_int_at_least(minimum), required=True, help=text)
+def _dim(minimum: int, what: str = "ambient dimension", maximum: int | None = None):
+    text = f"{what} (>= {minimum})" if maximum is None else f"{what} ({minimum} to {maximum})"
+    return _flag("--dim", type=_int_range(minimum, maximum), required=True, help=text)
 
 
 _SPACE = _flag("--space", choices=("rp", "sphere"), default="rp")
@@ -115,7 +117,7 @@ def _command(name: str, summary: str, *flags, extras: tuple[str, ...] = ()):
     "profile",
     "perimeter-volume envelope over tube families",
     _dim(2),
-    _flag("--samples", type=_int_at_least(2), default=2000, help="interior volume samples"),
+    _flag("--samples", type=_int_range(2), default=2000, help="interior volume samples"),
     _SPACE,
 )
 def _profile(args: argparse.Namespace) -> _Report:
@@ -149,9 +151,9 @@ def _transitions(args: argparse.Namespace) -> _Report:
 @_command(
     "stability",
     "stability margin scan for one factor pair",
-    _flag("--n1", type=_int_at_least(1), required=True, help="first factor dimension (>= 1)"),
-    _flag("--n2", type=_int_at_least(1), required=True, help="second factor dimension (>= 1)"),
-    _flag("--scan", dest="samples", metavar="SCAN", type=_int_at_least(2), default=100,
+    _flag("--n1", type=_int_range(1), required=True, help="first factor dimension (>= 1)"),
+    _flag("--n2", type=_int_range(1), required=True, help="second factor dimension (>= 1)"),
+    _flag("--scan", dest="samples", metavar="SCAN", type=_int_range(2), default=100,
           help="number of latitudes"),
     extras=("n1", "n2"),
 )
@@ -175,8 +177,8 @@ def _stability(args: argparse.Namespace) -> _Report:
 @_command(
     "willmore",
     "tube Willmore minimum and width candidate",
-    _dim(2, "hypersurface dimension n"),
-    _flag("--samples", type=_int_at_least(1000), default=10_000, help="latitude grid size"),
+    _dim(2, "hypersurface dimension n", _MAX_N),
+    _flag("--samples", type=_int_range(1000), default=10_000, help="latitude grid size"),
 )
 def _willmore(args: argparse.Namespace) -> _Report:
     report = willmore_report(args.dim, args.samples)
@@ -189,7 +191,9 @@ def _willmore(args: argparse.Namespace) -> _Report:
 
 
 @_command(
-    "areas", "minimal Clifford areas f(p) for p = 1..n-1", _dim(2, "hypersurface dimension n")
+    "areas",
+    "minimal Clifford areas f(p) for p = 1..n-1",
+    _dim(2, "hypersurface dimension n", _MAX_N),
 )
 def _areas(args: argparse.Namespace) -> _Report:
     n = args.dim
@@ -210,8 +214,8 @@ def _areas(args: argparse.Namespace) -> _Report:
 @_command(
     "verify",
     "run the full verification suite",
-    _flag("--max-dim", type=_int_at_least(3), default=10, help="largest ambient dimension"),
-    _flag("--samples", type=_int_at_least(100), default=2000, help="profile grid size"),
+    _flag("--max-dim", type=_int_range(3), default=10, help="largest ambient dimension"),
+    _flag("--samples", type=_int_range(100), default=2000, help="profile grid size"),
     _flag("--tol", type=_parse_tolerance, action="append", default=[], metavar="NAME=VALUE",
           help="override a named verification tolerance (repeatable)"),
     extras=("max_dim",),

@@ -25,6 +25,11 @@ above half volume, so radii keep their relative accuracy in both tails.  It
 stops on a relative step of 1e-14, or one evaluation earlier once Halley's
 error estimate for the step is below 1e-15 relative: about 2.8 incomplete
 beta evaluations per radius on the profile grids.
+
+The handoff from family k to k + 1 is the root of the perimeter gap
+P_k - P_{k+1} over the volume fraction, solved by a bracketed Newton
+iteration of the same shape for all adjacent pairs at once, then checked to
+increase in k and to lie on the lower envelope.
 """
 
 from __future__ import annotations
@@ -66,10 +71,12 @@ _RADIUS_RTOL = 1e-14
 _HALLEY_RTOL = 1e-5
 _MAX_RADIUS_STEPS = 60
 
-# The handoff solve stops once a Newton step moves both radii by at most
-# _NEWTON_TOL; it raises CrossingNotFound after _MAX_NEWTON steps.
-_NEWTON_TOL = 1e-12
-_MAX_NEWTON = 20
+# The handoff solve stops once a Newton step moves a volume fraction by at
+# most _HANDOFF_TOL or its bracket has closed to 4 ulp.  It raises
+# CrossingNotFound after _MAX_HANDOFF_STEPS steps: fewer than the 53 halvings
+# that take a pair whose gap stays negative from its start to f = 1 itself.
+_HANDOFF_TOL = 1e-10
+_MAX_HANDOFF_STEPS = 50
 
 
 class Space(Enum):
@@ -333,81 +340,77 @@ def profile_curve(
     ]
 
 
-def _solve_handoff(
-    ambient_dim: int, k: int, r_start: tuple[float, float], bracket: tuple[float, float]
-) -> float:
-    """Volume in RP^d where tube families k and k + 1 enclose equal volume
-    with equal perimeter: Newton on their radii (r_k, r_{k+1}) from r_start.
-
-    The Jacobian uses dV/dr = P and dP/dr = n H P, with H the mean
-    curvature of the boundary.  Raises CrossingNotFound if the step budget
-    runs out, an iterate leaves (0, pi/2), or the solved volume falls
-    outside bracket.
-    """
-    n = ambient_dim - 1
-    fams = (TubeFamily(ambient_dim, k), TubeFamily(ambient_dim, k + 1))
-    radii = np.array(r_start, dtype=float)
-    for _ in range(_MAX_NEWTON):
-        vol, perim, slope = [], [], []
-        for fam, r in zip(fams, radii.tolist()):
-            vol.append(tube_volume(fam, r))
-            perim.append(tube_perimeter(fam, r))
-            slope.append(n * curvature(CliffordShape(fam.k, n - fam.k, r)).mean)
-        # Solve J step = -F for F = (V_k - V_{k+1}, P_k - P_{k+1}).
-        jac = [[perim[0], -perim[1]], [slope[0] * perim[0], -slope[1] * perim[1]]]
-        steps = np.linalg.solve(jac, [vol[1] - vol[0], perim[1] - perim[0]])
-        radii = radii + steps
-        if not np.all((radii > 0.0) & (radii < _HALF_PI)):
-            raise CrossingNotFound(f"handoff k={k}: Newton iterate {radii} left (0, pi/2)")
-        if np.max(np.abs(steps)) <= _NEWTON_TOL:
-            break
-    else:
-        raise CrossingNotFound(f"handoff k={k}: Newton not converged after {_MAX_NEWTON} steps")
-    v_star = tube_volume(fams[0], float(radii[0]))
-    if not (bracket[0] <= v_star <= bracket[1]):
-        raise CrossingNotFound(
-            f"handoff k={k}: solved volume {v_star} outside the scan bracket {bracket}"
-        )
-    return v_star
-
-
-_SCAN_POINTS = 1024
-
-
 def transition_volumes(
     ambient_dim: int, space: Space = Space.PROJECTIVE
 ) -> list[tuple[int, int, float]]:
     """Envelope handoff volumes between adjacent tube families.
 
-    For each k the perimeter gap P_k - P_{k+1} is sampled on a coarse
-    volume grid to bracket its sign change; _solve_handoff then solves for
-    equal volume and perimeter from the radii at the bracket's lower end.
-    Raises CrossingNotFound if some adjacent pair never exchanges
-    optimality, if a solve fails, or if the handoff volumes do not strictly
-    increase with k: either would break the successive ordering.
+    The handoff from k to k + 1 is the root of the perimeter gap
+    g(f) = P_k - P_{k+1} over the volume fraction f, which changes sign
+    once on (0, 1), from - to +.  All n pairs are solved at once, each on
+    its own: a bracketed Newton iteration in the form of the radius solve,
+    with dg/df = V_total n (H_k - H_{k+1}) since dP/dV = n H, H the mean
+    curvature.  Pair k starts halfway between (k + 1)/(n + 1) and 1/2, as
+    the handoffs crowd toward half volume when n grows.  It is done once
+    its step is at most _HANDOFF_TOL, or once its bracket has closed to
+    4 ulp, for dimensions where the rounding noise of g keeps the step
+    above the tolerance.  Raises CrossingNotFound if a pair is not
+    done after _MAX_HANDOFF_STEPS steps (a pair that never exchanges
+    optimality ends there), if the handoff volumes do not strictly increase
+    with k, or if at some handoff a third family lies below the pair: each
+    would break the successive ordering.
     """
+    rp_total = total_volume(ambient_dim)
     n = ambient_dim - 1
-    grid = _volume_grid(total_volume(ambient_dim), _SCAN_POINTS)
-    cover = _cover(space)
-    perims, radii = _tube_table(ambient_dim, grid)
-    out: list[tuple[int, int, float]] = []
-    for k in range(n):
-        gap_vals = perims[k] - perims[k + 1]
-        sign_flip = np.nonzero(np.signbit(gap_vals[:-1]) != np.signbit(gap_vals[1:]))[0]
-        if sign_flip.size == 0:
+    pairs = np.arange(n)
+    f = 0.25 + 0.5 * (pairs + 1.0) / (n + 1.0)
+    lo = np.zeros(n)
+    hi = np.ones(n)
+    out = np.empty(n)
+    for _ in range(_MAX_HANDOFF_STEPS):
+        gap = np.zeros(pairs.size)
+        slope = np.zeros(pairs.size)
+        for j in range(n + 1):
+            # Open pairs with family j below (k = j) or above (k + 1 = j).
+            sel = np.nonzero((pairs == j) | (pairs == j - 1))[0]
+            if sel.size == 0:
+                continue
+            shape = CliffordShape(j, n - j, _radii_for_fractions(n, j, f[sel]))
+            sign = np.where(pairs[sel] == j, 1.0, -1.0)
+            gap[sel] += sign * area_rp(shape)
+            slope[sel] += sign * curvature(shape).mean
+        step = -gap / (rp_total * n * slope)
+        below = gap < 0.0
+        lo = np.where(below, f, lo)
+        hi = np.where(below, hi, f)
+        new = f + step
+        converged = np.abs(step) <= _HANDOFF_TOL
+        f = np.where(converged | ((new > lo) & (new < hi)), new, 0.5 * (lo + hi))
+        # A closed bracket counts only once g has been seen on both sides.
+        closed = (hi - lo <= 4.0 * np.spacing(hi)) & (lo > 0.0) & (hi < 1.0)
+        done = converged | closed
+        out[pairs[done]] = f[done]
+        keep = ~done
+        pairs, f, lo, hi = pairs[keep], f[keep], lo[keep], hi[keep]
+        if pairs.size == 0:
+            break
+    else:
+        raise CrossingNotFound(
+            f"handoffs k={pairs.tolist()} in ambient dimension {ambient_dim} not "
+            f"converged after {_MAX_HANDOFF_STEPS} steps"
+        )
+    handoffs = rp_total * out
+    if np.any(np.diff(handoffs) <= 0.0):
+        raise CrossingNotFound(f"handoff volumes {handoffs.tolist()} do not increase in k")
+    best = np.argmin(_tube_table(ambient_dim, handoffs)[0], axis=0)
+    for k, j in enumerate(best.tolist()):
+        if j not in (k, k + 1):
             raise CrossingNotFound(
-                f"tube families k={k} and k={k + 1} never exchange optimality "
+                f"family {j} lies below the handoff of k={k} and k={k + 1} "
                 f"in ambient dimension {ambient_dim}"
             )
-        # The handoff on the lower envelope is the first crossing where the
-        # smaller k stops winning.
-        i = int(sign_flip[0])
-        bracket = (float(grid[i]), float(grid[i + 1]))
-        v_star = cover * _solve_handoff(ambient_dim, k, (radii[k, i], radii[k + 1, i]), bracket)
-        if out and v_star <= out[-1][2]:
-            raise CrossingNotFound(f"handoff volume {v_star} for k={k} is not above {out[-1]}")
-        out.append((k, k + 1, v_star))
-    return out
+    cover = _cover(space)
+    return [(k, k + 1, cover * v) for k, v in enumerate(handoffs.tolist())]
 
 
 def successive_check(ambient_dim: int, samples: int) -> bool:

@@ -15,12 +15,10 @@ matching element of any batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "Quadrature",
     "QuadratureError",
     "sphere_area",
     "log_gamma",
@@ -75,37 +73,30 @@ _CF_MAX_ITER = 300
 _CF_LOOP_BELOW = 32
 
 
-def _check_int(name: str, value: int, minimum: int | None = None) -> None:
-    """Raise ValueError unless value is an int (not a bool) and, when
-    minimum is given, at least minimum."""
+def _check_int(
+    name: str, value: int, minimum: int | None = None, maximum: int | None = None
+) -> None:
+    """Raise ValueError unless value is an int (not a bool) and, when the
+    bounds are given, at least minimum and at most maximum."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ValueError(f"{name} must be <= {maximum}, got {value}")
 
 
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to converge within the depth budget."""
 
 
-@dataclass(frozen=True)
-class Quadrature:
-    """Error control for the adaptive integrator.
-
-    abs_tol and rel_tol must be positive; max_depth is the bisection depth
-    at which a still-unconverged panel raises QuadratureError.
-    """
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-12
-    max_depth: int = 40
-
-    def __post_init__(self) -> None:
-        if not (self.abs_tol > 0.0 and math.isfinite(self.abs_tol)):
-            raise ValueError(f"abs_tol must be positive and finite, got {self.abs_tol}")
-        if not (self.rel_tol > 0.0 and math.isfinite(self.rel_tol)):
-            raise ValueError(f"rel_tol must be positive and finite, got {self.rel_tol}")
-        _check_int("max_depth", self.max_depth, 1)
+# Error control for cossin_integral: a panel is accepted once refining it
+# changes its estimate by at most its share of _QUAD_ABS_TOL, or
+# _QUAD_REL_TOL relative; one still unconverged at bisection depth
+# _QUAD_MAX_DEPTH raises QuadratureError.
+_QUAD_ABS_TOL = 1e-12
+_QUAD_REL_TOL = 1e-12
+_QUAD_MAX_DEPTH = 40
 
 
 def log_gamma(x: float) -> float:
@@ -319,27 +310,25 @@ def _gl_panel(n1: int, n2: int, a: float, b: float) -> float:
     return half * float(np.dot(_GL_WEIGHTS, vals))
 
 
-def _refine(
-    n1: int, n2: int, a: float, b: float, whole: float, tol: float, depth: int, q: Quadrature
-) -> float:
+def _refine(n1: int, n2: int, a: float, b: float, whole: float, tol: float, depth: int) -> float:
     mid = 0.5 * (a + b)
     left = _gl_panel(n1, n2, a, mid)
     right = _gl_panel(n1, n2, mid, b)
     better = left + right
-    if abs(better - whole) <= max(tol, q.rel_tol * abs(better)):
+    if abs(better - whole) <= max(tol, _QUAD_REL_TOL * abs(better)):
         return better
-    if depth >= q.max_depth:
+    if depth >= _QUAD_MAX_DEPTH:
         raise QuadratureError(
             f"panel [{a}, {b}] did not converge at depth {depth} "
             f"(estimate change {abs(better - whole):.3e})"
         )
     half_tol = 0.5 * tol
-    return _refine(n1, n2, a, mid, left, half_tol, depth + 1, q) + _refine(
-        n1, n2, mid, b, right, half_tol, depth + 1, q
+    return _refine(n1, n2, a, mid, left, half_tol, depth + 1) + _refine(
+        n1, n2, mid, b, right, half_tol, depth + 1
     )
 
 
-def cossin_integral(n1: int, n2: int, r: float, q: Quadrature | None = None) -> float:
+def cossin_integral(n1: int, n2: int, r: float) -> float:
     """Integral of cos^n1(t) sin^n2(t) over [0, r] by adaptive quadrature.
 
     Requires integer n1, n2 >= 0 and 0 <= r <= pi/2.  Raises
@@ -351,12 +340,10 @@ def cossin_integral(n1: int, n2: int, r: float, q: Quadrature | None = None) -> 
     r = float(r)
     if not (0.0 <= r <= _HALF_PI):
         raise ValueError(f"radius must lie in [0, pi/2], got {r}")
-    if q is None:
-        q = Quadrature()
     if r == 0.0:
         return 0.0
     whole = _gl_panel(n1, n2, 0.0, r)
-    return _refine(n1, n2, 0.0, r, whole, q.abs_tol, 1, q)
+    return _refine(n1, n2, 0.0, r, whole, _QUAD_ABS_TOL, 1)
 
 
 def cossin_integral_closed(n1: int, n2: int, r: float) -> float:

@@ -14,6 +14,9 @@ chain
     2 |S^n| > f(1) > ... > f(floor(n/2)) = sigma_n.
 
 The degenerate families k = 0 and k = n have constant energy 2 |S^n|.
+Every function that returns an area or energy of dimension n, or a verdict
+built on them, requires n <= 437: beyond it sigma_n and 2 |S^n| are
+subnormal doubles, and from n = 455 they round to 0.
 """
 
 from __future__ import annotations
@@ -42,6 +45,9 @@ _LN_PI = math.log(math.pi)
 _LN_2 = math.log(2.0)
 
 _CHAIN_SLACK = 1e-12
+
+# Largest n for which sigma_n and 2 |S^n| are normal doubles.
+_MAX_N = 437
 
 
 @dataclass(frozen=True)
@@ -89,7 +95,7 @@ def clifford_area_f(n: int, x: float) -> float:
     H = 0 member of the k-th tube family; as x -> 0 or n it tends to the
     doubled equatorial sphere area 2 |S^n|.
     """
-    _check_int("n", n, 2)
+    _check_int("n", n, 2, _MAX_N)
     x = float(x)
     if not (0.0 < x < n):
         raise ValueError(f"x must lie in (0, {n}), got {x}")
@@ -130,7 +136,7 @@ def logf_second_derivative(n: int, x: float | np.ndarray) -> float | np.ndarray:
 def width_candidate(n: int) -> float:
     """Conjectured min-max width sigma_n = f(floor(n/2)), the area of the
     balanced minimal Clifford shape."""
-    _check_int("n", n, 2)
+    _check_int("n", n, 2, _MAX_N)
     return clifford_area_f(n, float(n // 2))
 
 
@@ -150,7 +156,7 @@ def _convexity_holds(n: int) -> bool:
 def verify_area_chain(n: int) -> bool:
     """True when the interpolating area function is log-convex on a dense
     grid and the integer chain 2 |S^n| > f(p) >= sigma_n holds."""
-    _check_int("n", n, 2)
+    _check_int("n", n, 2, _MAX_N)
     return _chain_holds(n) and _convexity_holds(n)
 
 
@@ -163,7 +169,7 @@ def energy_minimum(n: int, r_samples: int = 10_000) -> tuple[float, int, float]:
     Requires r_samples >= 1000 so the grid resolves the minimum well inside
     typical verification tolerances.
     """
-    _check_int("n", n, 2)
+    _check_int("n", n, 2, _MAX_N)
     _check_int("r_samples", r_samples, 1000)
     r = _HALF_PI * (np.arange(1, r_samples + 1) / (r_samples + 1))
     energy = np.array([tube_willmore_energy(CliffordShape(k, n - k, r)) for k in range(n + 1)])

@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import math
+import sys
 
 import pytest
 
@@ -178,6 +179,18 @@ class TestAreasCommand:
             min(a["area"] for a in doc["areas"]), rel=1e-12
         )
 
+    def test_largest_dimension(self):
+        # n = 437 is the largest --dim that willmore and areas accept.
+        code, out, _ = run_cli(["areas", "--dim", "437", "--format", "json"])
+        assert code == 0
+        doc = json.loads(out)
+        assert min(a["area"] for a in doc["areas"]) >= sys.float_info.min
+        assert doc["balanced_minimum"] >= sys.float_info.min
+        code, out, _ = run_cli(["willmore", "--dim", "437", "--samples", "1000"])
+        assert code == 0
+        row = out.splitlines()[1].split(",")
+        assert float(row[1]) >= sys.float_info.min and row[5:] == ["1", "1"]
+
 
 class TestVerifyCommand:
     def test_reduced_suite_passes(self):
@@ -287,6 +300,8 @@ class TestUsageErrors:
             (["verify", "--tol", "bogus=1"], "--tol"),
             (["areas", "--dim", "4", "--out", "MISSING/areas.csv"], "--out"),
             (["areas", "--dim", "4", "--out", "EXISTING_DIR"], "--out"),
+            (["willmore", "--dim", "438"], "--dim"),
+            (["areas", "--dim", "438"], "--dim"),
         ],
     )
     def test_error_names_the_flag(self, argv, flag, tmp_path):

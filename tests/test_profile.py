@@ -15,9 +15,6 @@ from rpiso.profile import (
     ProfilePoint,
     Space,
     TubeFamily,
-    _solve_handoff,
-    _tube_table,
-    _volume_grid,
     profile_at,
     profile_curve,
     radius_for_volume,
@@ -221,6 +218,29 @@ def _mp_radius(n: int, k: int, frac: float, r_start: float):
             slope = 2 * mpmath.sin(t) ** (2 * a - 1) * mpmath.cos(t) ** (2 * b - 1) / beta
             t += (mpmath.log(y) - mpmath.log(f)) * f / slope
     raise AssertionError(f"mpmath oracle did not converge for n={n}, k={k}, frac={frac}")
+
+
+def _mp_handoff_fraction(n: int, k: int, f_start: float) -> float:
+    """40-digit volume fraction at which tube families k and k + 1 have
+    equal perimeter, by mpmath's secant search from f_start; each radius is
+    an mpmath root of the volume fraction, started from rpiso's radius."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+
+        def perimeter(j, y):
+            a = mpmath.mpf(n - j + 1) / 2
+            b = mpmath.mpf(j + 1) / 2
+            start = float(profile._radii_for_fractions(n, j, np.array([float(y)]))[0])
+            r = mpmath.findroot(
+                lambda t: mpmath.betainc(a, b, 0, mpmath.sin(t) ** 2, regularized=True) - y,
+                start,
+            )
+            # |S^j| |S^(n-j)| / 2 = 2 pi^(a + b) / (Gamma(a) Gamma(b))
+            area = 2 * mpmath.pi ** (a + b) / (mpmath.gamma(a) * mpmath.gamma(b))
+            return area * mpmath.cos(r) ** j * mpmath.sin(r) ** (n - j)
+
+        y = mpmath.findroot(lambda y: perimeter(k, y) - perimeter(k + 1, y), mpmath.mpf(f_start))
+        return float(y)
 
 
 # Volume fractions from deep in the empty tail to within 1e-15 of full:
@@ -464,38 +484,50 @@ class TestTransitions:
             mirror = by_pair[(n - k2, n - k)]
             assert v == pytest.approx(total - mirror, rel=1e-12)
 
-    @staticmethod
-    def _scan(dim, k):
-        """Scan grid and radii table of RP^dim, and the index of the first
-        sign change of the perimeter gap between families k and k + 1."""
-        grid = _volume_grid(total_volume(dim), profile._SCAN_POINTS)
-        perims, radii = _tube_table(dim, grid)
-        gap = perims[k] - perims[k + 1]
-        i = int(np.nonzero(np.signbit(gap[:-1]) != np.signbit(gap[1:]))[0][0])
-        return grid, radii, i
+    @pytest.mark.parametrize("dim", [40, 60, 100])
+    def test_high_dimensions(self, dim):
+        total = total_volume(dim)
+        crossings = transition_volumes(dim)
+        assert [(k, k2) for k, k2, _ in crossings] == [(k, k + 1) for k in range(dim - 1)]
+        vols = [v for _, _, v in crossings]
+        assert all(v2 > v1 for v1, v2 in zip(vols, vols[1:]))
+        for v, mirror in zip(vols, reversed(vols)):
+            assert v == pytest.approx(total - mirror, rel=1e-11)
+
+    @pytest.mark.parametrize("dim", [20, 60])
+    def test_handoffs_against_mpmath(self, dim):
+        n = dim - 1
+        total = total_volume(dim)
+        crossings = transition_volumes(dim)
+        for k in (0, n // 2, n - 1):
+            ref = _mp_handoff_fraction(n, k, crossings[k][2] / total)
+            assert abs(crossings[k][2] - ref * total) <= 1e-12 * total, (k, crossings[k], ref)
 
     def test_crossing_finder_raises_when_budget_runs_out(self, monkeypatch):
-        grid, radii, i = self._scan(4, 0)
-        bracket = (grid[i], grid[i + 1])
-        v = _solve_handoff(4, 0, (radii[0, i], radii[1, i]), bracket)
-        assert bracket[0] <= v <= bracket[1]
-        # Started near empty volume, Newton wanders without converging.
-        with pytest.raises(CrossingNotFound, match="steps"):
-            _solve_handoff(4, 0, (radii[0, 0], radii[1, 0]), bracket)
-        # From the scan start it needs more than one step.
-        monkeypatch.setattr(profile, "_MAX_NEWTON", 1)
+        transition_volumes(4)
+        monkeypatch.setattr(profile, "_MAX_HANDOFF_STEPS", 1)
         with pytest.raises(CrossingNotFound, match="steps"):
             transition_volumes(4)
 
-    def test_crossing_finder_raises_outside_scan_bracket(self):
-        grid, radii, i = self._scan(3, 0)
-        start = (radii[0, i], radii[1, i])
-        with pytest.raises(CrossingNotFound, match="bracket"):
-            _solve_handoff(3, 0, start, (grid[i + 1], grid[i + 2]))
-        # Started near empty volume, an iterate leaves (0, pi/2).
-        far = (radii[0, 0], radii[1, 0])
-        with pytest.raises(CrossingNotFound, match="left"):
-            _solve_handoff(3, 0, far, (grid[i], grid[i + 1]))
+    def test_pair_that_never_crosses_raises(self, monkeypatch):
+        # Family n = 3 made dearer at every radius: P_2 < P_3 on all of
+        # (0, 1), so the last pair bisects toward f = 1 until the budget ends.
+        area = profile.area_rp
+        monkeypatch.setattr(profile, "area_rp", lambda shape: area(shape) + 1e3 * (shape.n1 == 3))
+        with pytest.raises(CrossingNotFound, match=r"k=\[2\].*steps"):
+            transition_volumes(4)
+
+    def test_raises_when_a_third_family_lies_below_a_handoff(self, monkeypatch):
+        table = profile._tube_table
+
+        def lowered(dim, volumes):
+            perims, radii = table(dim, volumes)
+            perims[0, -1] = 0.0  # family 0 below the last handoff, k = n - 1
+            return perims, radii
+
+        monkeypatch.setattr(profile, "_tube_table", lowered)
+        with pytest.raises(CrossingNotFound, match="family 0 lies below"):
+            transition_volumes(4)
 
 
 class TestSuccessive:

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rpiso import specfn
 from rpiso.specfn import (
-    Quadrature,
     QuadratureError,
     _betainc_xc_vec,
     _log_beta,
@@ -297,20 +297,12 @@ class TestCossinIntegral:
         with pytest.raises(ValueError):
             cossin_integral(0, 0, HALF_PI + 0.1)
 
-    def test_depth_budget_exhaustion(self):
-        q = Quadrature(abs_tol=1e-18, rel_tol=1e-18, max_depth=1)
+    def test_depth_budget_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(specfn, "_QUAD_ABS_TOL", 1e-18)
+        monkeypatch.setattr(specfn, "_QUAD_REL_TOL", 1e-18)
+        monkeypatch.setattr(specfn, "_QUAD_MAX_DEPTH", 1)
         with pytest.raises(QuadratureError):
-            cossin_integral(10, 10, 1.5, q)
-
-    def test_quadrature_validation(self):
-        with pytest.raises(ValueError):
-            Quadrature(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            Quadrature(rel_tol=-1e-9)
-        with pytest.raises(ValueError):
-            Quadrature(max_depth=0)
-        with pytest.raises(ValueError):
-            Quadrature(max_depth=True)
+            cossin_integral(10, 10, 1.5)
 
 
 # Integer arguments, one entry point each, given a bool or a float: the

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -292,3 +293,34 @@ class TestWillmoreReport:
         assert report.chain_ok and report.convexity_ok
         assert report.min_energy == pytest.approx(report.sigma_n, rel=1e-5)
         assert report.argmin_k == 2
+
+
+class TestLargestDimension:
+    """Areas and energies of dimension n are normal doubles up to n = 437;
+    beyond it they would be subnormal, so n = 438 is rejected."""
+
+    def test_n437_answers_normal_doubles(self):
+        n = 437
+        values = [
+            width_candidate(n),
+            2.0 * sphere_area(n),
+            energy_minimum(n, 1000)[0],
+            min(clifford_area_f(n, float(p)) for p in range(1, n)),
+        ]
+        assert all(v >= sys.float_info.min for v in values), values
+        assert verify_area_chain(n)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda n: clifford_area_f(n, 1.0),
+            width_candidate,
+            verify_area_chain,
+            energy_minimum,
+            willmore_report,
+        ],
+        ids=["clifford_area_f", "width_candidate", "verify_area_chain", "energy_minimum", "report"],
+    )
+    def test_n438_rejected(self, call):
+        with pytest.raises(ValueError, match=r"^n must be <= 437, got 438$"):
+            call(438)
