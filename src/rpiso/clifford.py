@@ -6,7 +6,10 @@ n = n1 + n2.  Principal curvatures with respect to the unit normal that
 points toward growing r are -tan r on the first factor and cot r on the
 second, so the shape operator satisfies A^2 - beta0 A - Id = 0 with
 beta0 = cot r - tan r.  With a 1-D array of latitudes, curvature and the
-areas answer per element, equal bit for bit to the scalar calls.
+areas answer per element, equal bit for bit to the scalar calls.  The
+private kernels _area and _mean_curvature behind area_sphere and curvature
+also take int arrays of factor dimensions, one shape per element, for
+callers that evaluate many tube families in one batch.
 """
 
 from __future__ import annotations
@@ -127,8 +130,7 @@ def curvature(shape: CliffordShape) -> CurvatureData:
     c = shape.cos_r
     kappa1 = -s / c
     kappa2 = c / s
-    n = shape.n
-    mean = (shape.n1 * kappa1 + shape.n2 * kappa2) / n
+    mean = _mean_curvature(shape.n1, shape.n2, c, s)
     norm_sq = shape.n1 * kappa1 * kappa1 + shape.n2 * kappa2 * kappa2
     beta = s / c - c / s
     return CurvatureData(
@@ -149,17 +151,30 @@ def _power(x: float | np.ndarray, p: float) -> float | np.ndarray:
     return y if isinstance(x, np.ndarray) else float(y)
 
 
+def _mean_curvature(n1, n2, cos_r, sin_r):
+    """H = (n1 (-tan r) + n2 cot r) / (n1 + n2) per element; the factor
+    dimensions are ints or int arrays the shape of the latitudes."""
+    return (n1 * (-sin_r / cos_r) + n2 * (cos_r / sin_r)) / (n1 + n2)
+
+
+def _area(n1, n2, cos_r, sin_r):
+    """|S^n1| |S^n2| cos^n1(r) sin^n2(r) per element; the factor dimensions
+    are ints, or int arrays the shape of the latitudes, for which each
+    sphere area up to the largest dimension is evaluated once."""
+    if isinstance(n1, np.ndarray):
+        areas = np.array([sphere_area(d) for d in range(int(max(n1.max(), n2.max())) + 1)])
+        a1, a2 = areas[n1], areas[n2]
+    else:
+        a1, a2 = sphere_area(n1), sphere_area(n2)
+    return a1 * a2 * _power(cos_r, n1) * _power(sin_r, n2)
+
+
 def area_sphere(shape: CliffordShape) -> float | np.ndarray:
     """n-dimensional area of the shape inside the unit sphere:
 
         |S^n1| |S^n2| cos^n1(r) sin^n2(r).
     """
-    return (
-        sphere_area(shape.n1)
-        * sphere_area(shape.n2)
-        * _power(shape.cos_r, shape.n1)
-        * _power(shape.sin_r, shape.n2)
-    )
+    return _area(shape.n1, shape.n2, shape.cos_r, shape.sin_r)
 
 
 def area_rp(shape: CliffordShape) -> float | np.ndarray:

@@ -18,18 +18,30 @@ Enclosed volume has the closed form
 
 with I the regularized incomplete beta, which is also what the direct
 integral (1/2) |S^k| |S^(n-k)| cossin_integral(k, n-k, r) evaluates to.
-Every volume inversion goes through one batched solve, so radius_for_volume,
-profile_at and profile_curve agree bit for bit.  That solve is a bracketed
+Every volume inversion goes through one batched solve, with one tube
+family per element, so radius_for_volume, profile_at and profile_curve
+agree bit for bit, whatever else shares a batch.  That solve is a bracketed
 Halley iteration on the log of the volume fraction, or of its complement
 above half volume, so radii keep their relative accuracy in both tails.  It
 stops on a relative step of 1e-14, or one evaluation earlier once Halley's
 error estimate for the step is below 1e-15 relative: about 2.8 incomplete
-beta evaluations per radius on the profile grids.
+beta evaluations per radius on the profile grids.  Above half volume a tube
+is evaluated through its complement, the mirror shape at the latitude
+s = pi/2 - r that the solve returns, so perimeters keep their relative
+accuracy up to the last double below the total.
+
+The envelope solves only the families that can be lowest.  Each P_k is
+concave in v, since dP/dV = n H and the mean curvature H decreases as the
+tube grows.  So between two volumes P_k lies above its chord and below its
+end tangents: every family is solved at every 16th volume, and in between
+only where its chord comes within 1e-9 (relative) of the lowest tangent of
+any family.  The answers equal the argmin over all families bit for bit.
 
 The handoff from family k to k + 1 is the root of the perimeter gap
 P_k - P_{k+1} over the volume fraction, solved by a bracketed Newton
-iteration of the same shape for all adjacent pairs at once, then checked to
-increase in k and to lie on the lower envelope.
+iteration of the same shape for all adjacent pairs at once, one radius
+solve per step, then checked to increase in k and to lie on the lower
+envelope.
 """
 
 from __future__ import annotations
@@ -41,8 +53,8 @@ from enum import Enum
 
 import numpy as np
 
-from .clifford import CliffordShape, area_rp, curvature
-from .specfn import _betainc_xc_vec, _check_int, _log_beta, _log_norm, sphere_area
+from .clifford import CliffordShape, _area, _mean_curvature, area_rp
+from .specfn import _betainc_xc_vec, _check_int, _log_beta_norm, _per_pair, sphere_area
 
 __all__ = [
     "Space",
@@ -77,6 +89,12 @@ _MAX_RADIUS_STEPS = 60
 # that take a pair whose gap stays negative from its start to f = 1 itself.
 _HANDOFF_TOL = 1e-10
 _MAX_HANDOFF_STEPS = 50
+
+# _envelope solves every family at every _NODE_STRIDE-th volume and, in
+# between, only the families whose chord comes within _PRUNE_MARGIN
+# (relative) of the lowest end tangent.
+_NODE_STRIDE = 16
+_PRUNE_MARGIN = 1e-9
 
 
 class Space(Enum):
@@ -189,35 +207,58 @@ def radius_for_volume(fam: TubeFamily, v: float) -> float:
     """Latitude whose tube encloses volume v, for v in (0, total) and at
     least sys.float_info.min (2.2e-308) of the total, else ValueError: the
     batched solve on one element."""
-    v = _rp_volume(fam.ambient_dim, float(v), fam.space)
-    frac = np.array([v]) / total_volume(fam.ambient_dim)
-    return float(_radii_for_fractions(fam.n, fam.k, frac)[0])
+    v = np.array([_rp_volume(fam.ambient_dim, float(v), fam.space)])
+    return float(_radii_for_fractions(fam.n, fam.k, v, total_volume(fam.ambient_dim))[0])
 
 
-def _radii_for_fractions(n: int, k: int, v_frac: np.ndarray) -> np.ndarray:
-    """Latitudes enclosing the given volume fractions f, each in (0, 1).
+def _radii_for_fractions(
+    n: int, k: int | np.ndarray, v_frac: np.ndarray, total: float = 1.0
+) -> np.ndarray:
+    """Latitudes enclosing the volumes v_frac, each in (0, total), of tube
+    family k: an int, or an int array with one family per element.  With
+    the default total they are volume fractions."""
+    y, upper = _split(np.asarray(v_frac, dtype=float), total)
+    t = _solve(n, k, y, upper)
+    return np.where(upper, _HALF_PI - t, t)
 
-    With a = (n - k + 1)/2 and b = (k + 1)/2, f <= 1/2 solves
-    I_{sin^2 r}(a, b) = f for r directly; f > 1/2 solves the complement
-    I_{sin^2 s}(b, a) = 1 - f for s = pi/2 - r, so both tails keep their
-    relative accuracy.  Each element is computed on its own, so results do
-    not depend on what else shares the batch.
-    """
-    v_frac = np.asarray(v_frac, dtype=float)
+
+def _split(v: np.ndarray, total: float) -> tuple[np.ndarray, np.ndarray]:
+    """(y, upper) for volumes v in (0, total): upper marks v / total > 1/2,
+    and y is v / total below that and (total - v) / total above, where the
+    difference is exact, so the complement keeps its relative accuracy."""
+    frac = v / total
+    upper = frac > 0.5
+    return np.where(upper, (total - v) / total, frac), upper
+
+
+def _solve(n: int, k: int | np.ndarray, y: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Latitudes t of tube family k (an int or an int array) per element:
+    with a = (n - k + 1)/2 and b = (k + 1)/2, where upper is False, t = r
+    solves I_{sin^2 r}(a, b) = y; where it is True, y is the complement
+    fraction and t = s = pi/2 - r solves I_{sin^2 s}(b, a) = y, so both
+    tails keep their relative accuracy.  Both halves share one Halley loop;
+    each element is computed on its own, so results do not depend on what
+    else shares the batch."""
     a = 0.5 * (n - k + 1)
     b = 0.5 * (k + 1)
-    upper = v_frac > 0.5
-    lower = ~upper
-    out = np.empty(v_frac.shape)
-    if lower.any():
-        out[lower] = _invert_lower_fraction(v_frac[lower], a, b)
-    if upper.any():
-        out[upper] = _HALF_PI - _invert_lower_fraction(1.0 - v_frac[upper], b, a)
-    return out
+    if upper.all():
+        return _invert_lower_fraction(y, b, a)
+    if not upper.any():
+        return _invert_lower_fraction(y, a, b)
+    return _invert_lower_fraction(y, np.where(upper, b, a), np.where(upper, a, b))
 
 
-def _invert_lower_fraction(y: np.ndarray, p: float, q: float) -> np.ndarray:
-    """Latitudes t in (0, pi/2) with I_{sin^2 t}(p, q) = y, for y in (0, 1/2].
+def _start_constants(p: float, q: float) -> tuple[float, float, float]:
+    """log B(p, q), log(1 / B(p, q)) and the start scale (p B(p, q))^(1/(2p))
+    of the Halley solve for I(p, q)."""
+    ln_beta, ln_norm = _log_beta_norm(p, q)
+    return ln_beta, ln_norm, math.exp(0.5 * (math.log(p) + ln_beta) / p)
+
+
+def _invert_lower_fraction(y: np.ndarray, p, q) -> np.ndarray:
+    """Latitudes t in (0, pi/2) with I_{sin^2 t}(p, q) = y, for y in (0, 1/2];
+    p and q are floats, or arrays the shape of y, one (p, q) per element,
+    whose constants are computed once per distinct pair.
 
     Bracketed Halley iteration (rtsafe, Numerical Recipes 9.4, with a
     third-order step) on f = log I_{sin^2 t}(p, q) - log y.  Its slope is
@@ -235,18 +276,25 @@ def _invert_lower_fraction(y: np.ndarray, p: float, q: float) -> np.ndarray:
     lies in the bracket and |step| / t and |step f''/f'| are both at most
     _HALLEY_RTOL, which puts Halley's error estimate |step| (step f''/f')^2
     below 1e-15 t.  The first test skips the bracket test, since a
-    converged step may land on a bracket end.  Raises RuntimeError after
-    _MAX_RADIUS_STEPS steps.
+    converged step may land on a bracket end.  The loop drops elements from
+    its state only on the steps where some finish.  Raises RuntimeError
+    after _MAX_RADIUS_STEPS steps.
     """
-    ln_beta = _log_beta(p, q)
-    ln_norm = _log_norm(p, q)  # as _betainc_xc_vec would compute it on every call
-    t = np.minimum(np.power(y, 0.5 / p) * math.exp(0.5 * (math.log(p) + ln_beta) / p), 1.2)
+    ln_beta, ln_norm, scale = _per_pair(_start_constants, p, q)
+    # The exponent is an array even for one family: numpy takes sqrt for a
+    # scalar 0.5, which would round some starts differently from a batch.
+    t = np.minimum(np.power(y, np.full(y.shape, 0.5) / p) * scale, 1.2)
     # I = t^(2p) / (p B) (1 + c t^2 + ...) with |c| < p + q, so there the
     # start is within 1e-16 / (2p) relative of the root.
     exact = (t > 0.0) & ((p + q) * t * t < 1e-16)
     out = np.where(exact, t, np.nan)
     idx = np.nonzero(~exact)[0]
-    t = t[idx]
+    t, y = t[idx], y[idx]
+    pm = 2.0 * p - 1.0
+    qm = 2.0 * q - 1.0
+    per_element = isinstance(p, np.ndarray)
+    if per_element:
+        p, q, pm, qm, ln_beta, ln_norm = (v[idx] for v in (p, q, pm, qm, ln_beta, ln_norm))
     lo = np.zeros(idx.shape)
     hi = np.full(idx.shape, _HALF_PI)
     # A fraction that underflows to 0 gives a NaN step, which bisects.
@@ -257,15 +305,13 @@ def _invert_lower_fraction(y: np.ndarray, p: float, q: float) -> np.ndarray:
             s = np.sin(t)
             c = np.cos(t)
             frac = _betainc_xc_vec(s * s, c * c, p, q, ln_norm)
-            log_slope = (
-                _LN_2 + (2.0 * p - 1.0) * np.log(s) + (2.0 * q - 1.0) * np.log(c) - ln_beta
-            )
+            log_slope = _LN_2 + pm * np.log(s) + qm * np.log(c) - ln_beta
             inv_slope = np.exp(np.log(frac) - log_slope)  # 1 / f'
-            newton = -np.log(frac / y[idx]) * inv_slope
-            curv = (2.0 * p - 1.0) * c / s - (2.0 * q - 1.0) * s / c - 1.0 / inv_slope
+            newton = -np.log(frac / y) * inv_slope
+            curv = pm * c / s - qm * s / c - 1.0 / inv_slope
             step = newton / (1.0 + 0.5 * newton * curv)
             step = np.where(np.isfinite(step), step, newton)
-            below = frac < y[idx]
+            below = frac < y
             lo = np.where(below, t, lo)
             hi = np.where(below, hi, t)
             new = t + step
@@ -274,24 +320,49 @@ def _invert_lower_fraction(y: np.ndarray, p: float, q: float) -> np.ndarray:
             done = (size <= _RADIUS_RTOL * t) | (
                 inside & (size <= _HALLEY_RTOL * t) & (np.abs(step * curv) <= _HALLEY_RTOL)
             )
-            out[idx[done]] = new[done]
             t = np.where(inside, new, 0.5 * (lo + hi))
-            keep = ~done
-            idx, t, lo, hi = idx[keep], t[keep], lo[keep], hi[keep]
+            if done.any():
+                out[idx[done]] = new[done]
+                keep = ~done
+                idx, t, y, lo, hi = idx[keep], t[keep], y[keep], lo[keep], hi[keep]
+                if per_element:
+                    p, q, pm, qm, ln_beta, ln_norm = (
+                        v[keep] for v in (p, q, pm, qm, ln_beta, ln_norm)
+                    )
     raise RuntimeError(
         f"volume Halley solve not converged after {_MAX_RADIUS_STEPS} steps "
         f"for I(p={p}, q={q})"
     )
 
 
+def _tubes(
+    n: int, k: np.ndarray, y: np.ndarray, upper: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(perimeter, radius, mean curvature) in RP^(n+1) of tube family k[i]
+    at tail fraction y[i], as _solve takes them.  Above half volume family
+    k is evaluated through its mirror shape S^(n-k)(cos s) x S^k(sin s),
+    the same hypersurface at the solved latitude s = pi/2 - r: its area is
+    the tube's, and its mean curvature is the tube's negated.  Evaluating
+    cos r = sin s from r itself would cost the tube's area its relative
+    accuracy as s shrinks, and r rounds to pi/2 where s is below ulp/2."""
+    t = _solve(n, k, y, upper)
+    n1 = np.where(upper, n - k, k)
+    c = np.cos(t)
+    s = np.sin(t)
+    perimeter = 0.5 * _area(n1, n - n1, c, s)  # area_rp
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        mean = _mean_curvature(n1, n - n1, c, s)  # infinite at the tiniest latitudes
+    return perimeter, np.where(upper, _HALF_PI - t, t), np.where(upper, -mean, mean)
+
+
 def _tube_table(ambient_dim: int, volumes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(perimeter, radius) arrays of shape (n + 1, volumes.size) for
     volumes in RP^d: row k holds tube family k at each volume."""
     n = ambient_dim - 1
-    v_frac = np.asarray(volumes, dtype=float) / total_volume(ambient_dim)
-    radii = np.array([_radii_for_fractions(n, k, v_frac) for k in range(n + 1)])
-    perims = np.array([area_rp(CliffordShape(k, n - k, radii[k])) for k in range(n + 1)])
-    return perims, radii
+    y, upper = _split(np.asarray(volumes, dtype=float), total_volume(ambient_dim))
+    k = np.repeat(np.arange(n + 1), y.size)
+    perims, radii, _ = _tubes(n, k, np.tile(y, n + 1), np.tile(upper, n + 1))
+    return perims.reshape(n + 1, y.size), radii.reshape(n + 1, y.size)
 
 
 def _envelope(
@@ -300,11 +371,67 @@ def _envelope(
     """Lower envelope over k of the tube perimeters at fixed volumes in RP^d.
 
     Returns (best_k, perimeter, radius) arrays; ties pick the smallest k.
+    The answers are those of np.argmin over _tube_table, bit for bit, from
+    far fewer radius solves.  Each P_k is concave in v: dP/dV = n H, and H
+    decreases as r, and with it v, grows.  So on an interval between two
+    volumes a and b, P_k lies above its chord and below both its end
+    tangents.  Every family is solved at the nodes, every _NODE_STRIDE-th
+    volume in sorted order plus the last; raises RuntimeError if some
+    family's slope there does not decrease, since the bounds would then not
+    hold.  Between the nodes, family k is solved at v only when its chord
+    is at most (1 + _PRUNE_MARGIN) times the smallest end tangent of any
+    family, plus 1e-12 of the bounds' largest term for their rounding.  A
+    family skipped at v lies above its chord, and so above the family of
+    that tangent, by more than rounding: strictly above the lowest one, so
+    ties still go to the smallest k.  Each element is solved on its own, so
+    the solved ones equal their _tube_table entries.
     """
-    perims, radii = _tube_table(ambient_dim, volumes)
-    best = np.argmin(perims, axis=0)
-    cols = np.arange(perims.shape[1])
-    return best, perims[best, cols], radii[best, cols]
+    n = ambient_dim - 1
+    volumes = np.asarray(volumes, dtype=float)
+    order = np.argsort(volumes, kind="stable")
+    v = volumes[order]
+    y, upper = _split(v, total_volume(ambient_dim))
+    is_node = np.zeros(v.size, dtype=bool)
+    is_node[::_NODE_STRIDE] = True
+    is_node[-1] = True
+    nodes = np.flatnonzero(is_node)
+    # Unsolved entries stay at inf and never win the argmin.
+    perims = np.full((n + 1, v.size), np.inf)
+    radii = np.zeros((n + 1, v.size))
+    fam = np.repeat(np.arange(n + 1), nodes.size)
+    col = np.tile(nodes, n + 1)
+    perims[fam, col], radii[fam, col], mean = _tubes(n, fam, y[col], upper[col])
+    slope = n * mean.reshape(n + 1, nodes.size)
+    with np.errstate(invalid="ignore", over="ignore"):
+        if np.any(np.diff(slope, axis=1) > 1e-9 * np.abs(slope[:, :-1])):
+            raise RuntimeError(
+                f"tube perimeter slopes increase with volume in ambient dimension "
+                f"{ambient_dim}: the perimeters are not concave, so no family can be skipped"
+            )
+        inner = np.flatnonzero(~is_node)
+        right = np.searchsorted(nodes, inner)
+        left = right - 1
+        x, va, vb = v[inner], v[nodes[left]], v[nodes[right]]
+        pa, pb = perims[:, nodes[left]], perims[:, nodes[right]]
+        ta = slope[:, left] * (x - va)
+        tb = slope[:, right] * (x - vb)
+        chord = pa + (pb - pa) * ((x - va) / (vb - va))
+        cap = np.min(np.minimum(pa + ta, pb + tb), axis=0)
+        slack = 1e-12 * np.max(pa + pb + np.abs(ta) + np.abs(tb), axis=0)
+        # NaN or infinite bounds, at the tiniest latitudes, drop nothing.
+        fam, col = np.nonzero(~(chord > (1.0 + _PRUNE_MARGIN) * cap + slack))
+    if col.size:
+        col = inner[col]
+        perims[fam, col], radii[fam, col], _ = _tubes(n, fam, y[col], upper[col])
+    pick = np.argmin(perims, axis=0)
+    cols = np.arange(v.size)
+    best = np.empty(v.size, dtype=int)
+    perim = np.empty(v.size)
+    radius = np.empty(v.size)
+    best[order] = pick
+    perim[order] = perims[pick, cols]
+    radius[order] = radii[pick, cols]
+    return best, perim, radius
 
 
 def profile_at(
@@ -368,17 +495,11 @@ def transition_volumes(
     hi = np.ones(n)
     out = np.empty(n)
     for _ in range(_MAX_HANDOFF_STEPS):
-        gap = np.zeros(pairs.size)
-        slope = np.zeros(pairs.size)
-        for j in range(n + 1):
-            # Open pairs with family j below (k = j) or above (k + 1 = j).
-            sel = np.nonzero((pairs == j) | (pairs == j - 1))[0]
-            if sel.size == 0:
-                continue
-            shape = CliffordShape(j, n - j, _radii_for_fractions(n, j, f[sel]))
-            sign = np.where(pairs[sel] == j, 1.0, -1.0)
-            gap[sel] += sign * area_rp(shape)
-            slope[sel] += sign * curvature(shape).mean
+        # Family k then family k + 1 of each open pair, in one solve.
+        y, upper = _split(np.concatenate([f, f]), 1.0)
+        perim, _, mean = _tubes(n, np.concatenate([pairs, pairs + 1]), y, upper)
+        gap = perim[: pairs.size] - perim[pairs.size :]
+        slope = mean[: pairs.size] - mean[pairs.size :]
         step = -gap / (rp_total * n * slope)
         below = gap < 0.0
         lo = np.where(below, f, lo)
@@ -402,7 +523,7 @@ def transition_volumes(
     handoffs = rp_total * out
     if np.any(np.diff(handoffs) <= 0.0):
         raise CrossingNotFound(f"handoff volumes {handoffs.tolist()} do not increase in k")
-    best = np.argmin(_tube_table(ambient_dim, handoffs)[0], axis=0)
+    best = _envelope(ambient_dim, handoffs)[0]
     for k, j in enumerate(best.tolist()):
         if j not in (k, k + 1):
             raise CrossingNotFound(

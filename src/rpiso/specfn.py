@@ -121,12 +121,14 @@ def log_gamma(x: float) -> float:
 
 
 def _log_beta(a: float, b: float) -> float:
-    return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
+    return _log_beta_norm(a, b)[0]
 
 
-def _log_norm(a: float, b: float) -> float:
-    """log(1 / B(a, b)), the incomplete beta's normaliser."""
-    return log_gamma(a + b) - log_gamma(a) - log_gamma(b)
+def _log_beta_norm(a: float, b: float) -> tuple[float, float]:
+    """log B(a, b) and log(1 / B(a, b)), the incomplete beta's normaliser,
+    from one log_gamma each of a, b and a + b."""
+    ln_a, ln_b, ln_ab = log_gamma(a), log_gamma(b), log_gamma(a + b)
+    return ln_a + ln_b - ln_ab, ln_ab - ln_a - ln_b
 
 
 def sphere_area(d: int) -> float:
@@ -213,13 +215,18 @@ def _betacf(a: float, b: float, x: float) -> float:
     )
 
 
-def _betacf_vec(a: float, b: float, x: np.ndarray) -> np.ndarray:
-    """Vectorized _betacf.  Converged elements freeze, and the fraction uses
-    only + - * /, so each element equals the scalar call bit for bit; small
-    batches therefore loop over the scalar call."""
+def _betacf_vec(a, b, x: np.ndarray) -> np.ndarray:
+    """Vectorized _betacf; a and b are floats, or arrays the shape of x
+    with one (a, b) per element.  Converged elements freeze, and the
+    fraction uses only + - * /, so each element equals the scalar call bit
+    for bit; small batches therefore loop over the scalar call."""
     x = np.asarray(x, dtype=float)
     if x.size < _CF_LOOP_BELOW:
-        return np.array([_betacf(a, b, u) for u in x.tolist()]).reshape(x.shape)
+        if isinstance(a, np.ndarray):
+            values = [_betacf(p, q, u) for p, q, u in zip(a.tolist(), b.tolist(), x.tolist())]
+        else:
+            values = [_betacf(a, b, u) for u in x.tolist()]
+        return np.array(values).reshape(x.shape)
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
@@ -254,29 +261,49 @@ def _betacf_vec(a: float, b: float, x: np.ndarray) -> np.ndarray:
     )
 
 
-def _betainc_xc_vec(
-    x: np.ndarray, xc: np.ndarray, a: float, b: float, ln_norm: float | None = None
-) -> np.ndarray:
+def _per_pair(fn, a, b):
+    """fn(a, b) for floats a, b.  For arrays of one (a, b) per element, fn
+    runs once per distinct pair and its values are spread back over the
+    elements; a tuple-valued fn gives one array row per value."""
+    if not isinstance(a, np.ndarray):
+        return fn(a, b)
+    # As complex numbers, (a, b) pairs sort and compare as pairs.
+    keys, inverse = np.unique(a + 1j * b, return_inverse=True)
+    values = np.array([fn(key.real, key.imag) for key in keys.tolist()])
+    return values[inverse.reshape(-1)].T
+
+
+def _betainc_xc_vec(x: np.ndarray, xc: np.ndarray, a, b, ln_norm=None) -> np.ndarray:
     """Regularized incomplete beta I_x(a, b) per element, with the
     complement xc = 1 - x supplied by the caller.  Passing an independently
     computed complement (for example cos^2 r alongside sin^2 r) preserves
-    accuracy near x = 1.  A caller that evaluates the same (a, b) many times
-    may pass ln_norm = _log_norm(a, b), the value computed here otherwise."""
+    accuracy near x = 1.  a and b are floats, or arrays the shape of x.  A
+    caller that evaluates the same (a, b) many times may pass
+    ln_norm = _log_beta_norm(a, b)[1] (per element for arrays), the value
+    computed here otherwise.
+
+    Past the mean the fraction converges slowly, so there it runs on the
+    reflection I_x(a, b) = 1 - I_xc(b, a).  Both kinds of element share one
+    continued-fraction call, with (a, b, x) swapped for (b, a, xc) per
+    element, which leaves each element's arithmetic as it was."""
     x = np.asarray(x, dtype=float)
     xc = np.asarray(xc, dtype=float)
-    out = np.where(x <= 0.0, 0.0, 1.0)
-    mid = ~((x <= 0.0) | (xc <= 0.0))
-    direct = mid & (x < (a + 1.0) / (a + b + 2.0))
-    flipped = mid & ~direct
     if ln_norm is None:
-        ln_norm = _log_norm(a, b)
+        ln_norm = _per_pair(_log_beta_norm, a, b)[1]
+    empty = x <= 0.0
+    out = np.where(empty, 0.0, 1.0)
+    mid = ~(empty | (xc <= 0.0))
+    flip = mid & ~(x < (a + 1.0) / (a + b + 2.0))
     with np.errstate(divide="ignore"):  # log 0 at the endpoints, overwritten below
         front = np.exp(ln_norm + a * np.log(x) + b * np.log(xc))
-    if direct.any():
-        out[direct] = front[direct] * _betacf_vec(a, b, x[direct]) / a
-    if flipped.any():
-        out[flipped] = 1.0 - front[flipped] * _betacf_vec(b, a, xc[flipped]) / b
-    return out
+    flipped = flip.any()
+    if flipped:
+        a, b, x = np.where(flip, b, a), np.where(flip, a, b), np.where(flip, xc, x)
+    # An endpoint runs the fraction at 0, where it stops at once.
+    part = front * _betacf_vec(a, b, np.where(mid, x, 0.0)) / a
+    if flipped:
+        part = np.where(flip, 1.0 - part, part)
+    return np.where(mid, part, out)
 
 
 def reg_inc_beta(x: float, a: float, b: float) -> float:

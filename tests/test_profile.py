@@ -274,20 +274,28 @@ class TestRadiusTails:
 
     def test_few_incomplete_beta_evaluations_per_solve(self, monkeypatch):
         # Halley steps plus the error-estimate stop: under three evaluated
-        # elements per (volume, family) solve on the profile grids.
-        evaluated = 0
+        # elements per (volume, family) radius solve on the profile grids,
+        # counting the solves the envelope actually runs.
+        evaluated = solved = 0
         betainc = profile._betainc_xc_vec
+        solve = profile._solve
 
         def counting(x, *args, **kwargs):
             nonlocal evaluated
             evaluated += np.size(x)
             return betainc(x, *args, **kwargs)
 
+        def counting_solve(n, k, y, upper):
+            nonlocal solved
+            solved += np.size(y)
+            return solve(n, k, y, upper)
+
         monkeypatch.setattr(profile, "_betainc_xc_vec", counting)
-        dims = range(3, 17)
-        for dim in dims:
+        monkeypatch.setattr(profile, "_solve", counting_solve)
+        for dim in range(3, 17):
             profile_curve(dim, 2000)
-        assert evaluated <= 3.0 * 2000 * sum(dims)
+        assert solved > 0
+        assert evaluated <= 3.0 * solved
 
     @pytest.mark.parametrize("dim", range(3, 31))
     def test_best_family_at_both_ends(self, dim):
@@ -304,6 +312,185 @@ class TestRadiusTails:
             radius_for_volume(fam, v)
         with pytest.raises(RuntimeError, match="steps"):
             profile_curve(6, 50)
+
+
+def _rp3_ball_radius(fraction: float) -> float:
+    """Radius rho of the RP^3 ball with volume fraction
+    (2 rho - sin 2 rho) / pi = fraction, for fractions up to 1e-6 (rho below
+    0.02): bisection on the Taylor series of 2 rho - sin 2 rho, whose
+    alternating terms shrink fast enough there to sum without cancellation."""
+
+    def ball_fraction(rho):
+        x = 2.0 * rho
+        odd = range(3, 17, 2)
+        return math.fsum((-1) ** (j // 2 + 1) * x**j / math.factorial(j) for j in odd) / math.pi
+
+    lo, hi = 0.0, 0.05
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if ball_fraction(mid) < fraction:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _mp_top_family_perimeter(n: int, complement: float):
+    """40-digit RP^(n+1) area of the tube about RP^n that leaves the volume
+    fraction complement outside: its complement is the ball about a point of
+    radius s with I_{sin^2 s}((n + 1)/2, 1/2) = complement, and its boundary
+    area is |S^n| sin^n s.  Newton on the log of the fraction from the
+    small-radius asymptote."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        p = mpmath.mpf(n + 1) / 2
+        q = mpmath.mpf(1) / 2
+        y = mpmath.mpf(complement)
+        beta = mpmath.beta(p, q)
+        s = (y * p * beta) ** (1 / (2 * p))
+        for _ in range(60):
+            f = mpmath.betainc(p, q, 0, mpmath.sin(s) ** 2, regularized=True)
+            if abs(f - y) <= mpmath.mpf(10) ** -36 * y:
+                area = 2 * mpmath.pi ** p / mpmath.gamma(p)
+                return float(area * mpmath.sin(s) ** n)
+            slope = 2 * mpmath.sin(s) ** (2 * p - 1) * mpmath.cos(s) ** (2 * q - 1) / beta
+            s += (mpmath.log(y) - mpmath.log(f)) * f / slope
+    raise AssertionError(f"mpmath oracle did not converge for n={n}, complement={complement}")
+
+
+def _upper_tail_volumes(total: float) -> list[float]:
+    """(1 - f) total for f = 1e-8, 1e-12, 1e-15, and the last double below
+    the total."""
+    return [(1.0 - f) * total for f in (1e-8, 1e-12, 1e-15)] + [float(np.nextafter(total, 0.0))]
+
+
+class TestUpperTail:
+    """Just below the total volume the tubes are evaluated through their
+    complements, so perimeters keep their relative accuracy up to the last
+    double.  The oracles are independent of the package; none of them is
+    P(total - v) = P(v), which the mirror evaluation would make true by
+    construction."""
+
+    @pytest.mark.parametrize("space", list(Space), ids=lambda s: s.value)
+    def test_rp3_against_closed_form(self, space):
+        # Near the total the best tube in RP^3 is the one about RP^2, whose
+        # complement is a ball of radius rho: perimeter 4 pi sin^2 rho.
+        total = total_volume(3, space)
+        cover = total / total_volume(3)
+        for v in _upper_tail_volumes(total):
+            rho = _rp3_ball_radius((total - v) / total)
+            point = profile_at(3, v, space)
+            assert point.best_k == 2
+            ref = cover * 4.0 * math.pi * math.sin(rho) ** 2
+            assert abs(point.perimeter - ref) <= 1e-14 * ref, (v, point.perimeter, ref)
+            assert abs(point.best_r - (HALF_PI - rho)) <= 1e-15
+
+    @pytest.mark.parametrize("dim", [10, 30])
+    def test_top_family_against_mpmath(self, dim):
+        n = dim - 1
+        total = total_volume(dim)
+        volumes = np.array(_upper_tail_volumes(total))
+        perims, _ = profile._tube_table(dim, volumes)
+        for v, perim in zip(volumes.tolist(), perims[n].tolist()):
+            ref = _mp_top_family_perimeter(n, (total - v) / total)
+            assert abs(perim - ref) <= 1e-13 * ref, (v, perim, ref)
+
+    @pytest.mark.parametrize("space", list(Space), ids=lambda s: s.value)
+    @pytest.mark.parametrize("dim", [2, 3, 4, 7, 10, 30, 100])
+    def test_last_double_below_total_answers(self, dim, space):
+        total = total_volume(dim, space)
+        point = profile_at(dim, float(np.nextafter(total, 0.0)), space)
+        assert point.best_k == dim - 1
+        assert 0.0 < point.perimeter < profile_at(dim, (1.0 - 1e-9) * total, space).perimeter
+        assert point.best_r <= HALF_PI
+
+
+def _full_argmin(dim: int, volumes: np.ndarray):
+    """(best_k, perimeter, radius) from every family solved at every volume."""
+    perims, radii = profile._tube_table(dim, volumes)
+    best = np.argmin(perims, axis=0)
+    cols = np.arange(volumes.size)
+    return best, perims[best, cols], radii[best, cols]
+
+
+class TestPrunedEnvelope:
+    """_envelope solves only the families that can be lowest, yet answers
+    exactly as the argmin over the full table."""
+
+    @pytest.mark.parametrize("dim", [3, 5, 10, 40])
+    def test_mixed_family_batch_equals_each_familys_own_call(self, dim):
+        # Every family at the tail fractions, at fractions small enough that
+        # the start is the answer, and at seeded bulk fractions, in one batch.
+        n = dim - 1
+        fracs = np.concatenate(
+            [
+                TAIL_FRACTIONS,
+                np.geomspace(1e-300, 1e-17, 64),
+                np.random.default_rng(dim).uniform(1e-3, 1.0 - 1e-3, 24),
+            ]
+        )
+        k = np.repeat(np.arange(n + 1), fracs.size)
+        batch = profile._radii_for_fractions(n, k, np.tile(fracs, n + 1)).reshape(n + 1, -1)
+        upper = fracs > 0.5
+        for j in range(n + 1):
+            # One family over both halves, then over each half on its own,
+            # where its parameters are floats rather than arrays.
+            assert np.array_equal(profile._radii_for_fractions(n, j, fracs), batch[j])
+            for half in (upper, ~upper):
+                assert np.array_equal(
+                    profile._radii_for_fractions(n, j, fracs[half]), batch[j][half]
+                )
+
+    @pytest.mark.parametrize(
+        "dim,samples",
+        [(3, 8000), (5, 6000), (7, 4000), (10, 2500), (13, 2000), (16, 1500)],
+    )
+    def test_tabulate_grids_in_both_spaces(self, dim, samples):
+        best, perim, radius = _full_argmin(dim, profile._volume_grid(total_volume(dim), samples))
+        for space in Space:
+            points = profile_curve(dim, samples, space)
+            cover = total_volume(dim, space) / total_volume(dim)
+            assert [p.best_k for p in points] == best.tolist()
+            assert [p.perimeter for p in points] == (cover * perim).tolist()
+            assert [p.best_r for p in points] == radius.tolist()
+
+    @pytest.mark.parametrize(
+        "dim,samples",
+        [(d, 2000) for d in range(3, 11)] + [(d, s) for d in (20, 30, 40) for s in (500, 2501)],
+    )
+    def test_grids_equal_full_argmin(self, dim, samples):
+        volumes = profile._volume_grid(total_volume(dim), samples)
+        for got, want in zip(profile._envelope(dim, volumes), _full_argmin(dim, volumes)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 40])
+    def test_handoff_volumes_equal_full_argmin(self, dim):
+        # At a handoff two families tie to rounding: both must be solved.
+        volumes = np.array([v for _, _, v in transition_volumes(dim)])
+        for got, want in zip(profile._envelope(dim, volumes), _full_argmin(dim, volumes)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dim,samples", [(10, 2000), (40, 2501)])
+    def test_solves_a_fraction_of_the_table(self, dim, samples, monkeypatch):
+        solved = 0
+        solve = profile._solve
+
+        def counting_solve(n, k, y, upper):
+            nonlocal solved
+            solved += np.size(y)
+            return solve(n, k, y, upper)
+
+        monkeypatch.setattr(profile, "_solve", counting_solve)
+        profile_curve(dim, samples)
+        assert solved <= 0.25 * dim * samples
+
+    def test_refuses_perimeters_that_are_not_concave(self, monkeypatch):
+        # Negated mean curvatures make every slope increase with volume: the
+        # chord and tangent bounds would no longer hold.
+        mean = profile._mean_curvature
+        monkeypatch.setattr(profile, "_mean_curvature", lambda *args: -mean(*args))
+        with pytest.raises(RuntimeError, match="not concave"):
+            profile_curve(5, 200)
 
 
 class TestSmallestVolume:
@@ -512,20 +699,25 @@ class TestTransitions:
     def test_pair_that_never_crosses_raises(self, monkeypatch):
         # Family n = 3 made dearer at every radius: P_2 < P_3 on all of
         # (0, 1), so the last pair bisects toward f = 1 until the budget ends.
-        area = profile.area_rp
-        monkeypatch.setattr(profile, "area_rp", lambda shape: area(shape) + 1e3 * (shape.n1 == 3))
+        tubes = profile._tubes
+
+        def dearer(n, k, y, upper):
+            perim, radius, mean = tubes(n, k, y, upper)
+            return perim + 1e3 * (k == 3), radius, mean
+
+        monkeypatch.setattr(profile, "_tubes", dearer)
         with pytest.raises(CrossingNotFound, match=r"k=\[2\].*steps"):
             transition_volumes(4)
 
     def test_raises_when_a_third_family_lies_below_a_handoff(self, monkeypatch):
-        table = profile._tube_table
+        envelope = profile._envelope
 
         def lowered(dim, volumes):
-            perims, radii = table(dim, volumes)
-            perims[0, -1] = 0.0  # family 0 below the last handoff, k = n - 1
-            return perims, radii
+            best, perims, radii = envelope(dim, volumes)
+            best[-1] = 0  # family 0 below the last handoff, k = n - 1
+            return best, perims, radii
 
-        monkeypatch.setattr(profile, "_tube_table", lowered)
+        monkeypatch.setattr(profile, "_envelope", lowered)
         with pytest.raises(CrossingNotFound, match="family 0 lies below"):
             transition_volumes(4)
 

@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import pytest
 
+from rpiso import cli, profile, spectrum, specfn, willmore
 from rpiso.verify import (
     DEFAULT_TOLERANCES,
+    check_area_chain,
     check_identities,
     check_rp3,
+    check_specfn,
+    check_stability,
     check_successive,
+    check_willmore_minimum,
     run_all,
 )
 
@@ -75,3 +80,110 @@ def test_successive_detail_lists_dims():
     result = check_successive(max_dim=4, samples=200)
     assert result.passed
     assert "3..4" in result.detail
+
+
+class TestFailurePaths:
+    """Each check driven to FAIL, through a tolerance override or a
+    monkeypatched input, reports what failed."""
+
+    def test_successive_names_the_failing_dimension(self, monkeypatch):
+        real = profile.successive_check
+        monkeypatch.setattr(
+            profile, "successive_check", lambda dim, samples: dim != 4 and real(dim, samples)
+        )
+        result = check_successive(max_dim=5, samples=200)
+        assert not result.passed
+        assert result.detail == "failed for ambient dims [4]"
+
+    def test_stability_endpoint_margin(self, monkeypatch):
+        # An interval shifted off the closed form: its ends are no longer
+        # where the margin vanishes.
+        real = spectrum.stability_interval
+        monkeypatch.setattr(
+            spectrum, "stability_interval", lambda n1, n2: tuple(r + 0.1 for r in real(n1, n2))
+        )
+        result = check_stability(max_n=3, radii=100)
+        assert not result.passed
+        assert result.detail.startswith("(1,1) endpoint r=")
+        assert "margin" in result.detail
+
+    def test_stability_interior_sign(self, monkeypatch):
+        # Margins lowered by 1 on the scan grid, left alone at the two ends:
+        # the zero margins inside the interval turn negative.
+        real = spectrum.stability_margin
+        monkeypatch.setattr(
+            spectrum,
+            "stability_margin",
+            lambda shape: real(shape) if shape.r.size == 2 else real(shape) - 1.0,
+        )
+        result = check_stability(max_n=3, radii=100)
+        assert not result.passed
+        assert result.detail.startswith("(1,1) r=")
+        assert result.detail.endswith(": negative margin -1.00e+00 inside interval")
+
+    def test_stability_brute_force(self, monkeypatch):
+        # A (2, 2) mode below the three candidates.
+        real = spectrum.laplace_eigenvalue
+        monkeypatch.setattr(
+            spectrum,
+            "laplace_eigenvalue",
+            lambda shape, k1, k2: real(shape, k1, k2) * (0.0 if (k1, k2) == (2, 2) else 1.0),
+        )
+        result = check_stability(max_n=3, radii=100)
+        assert not result.passed
+        assert result.detail.startswith("(1,1) r=")
+        assert "brute force 0.0 beats candidates" in result.detail
+
+    def test_specfn_quadrature_mismatch(self):
+        result = check_specfn(overrides={"specfn_agree": 1e-300})
+        assert not result.passed
+        assert result.detail.startswith("quadrature mismatch ")
+
+    def test_specfn_known_sphere_area(self, monkeypatch):
+        real = specfn.sphere_area
+        monkeypatch.setattr(specfn, "sphere_area", lambda d: real(d) * (1.0 + 1e-9 * (d == 2)))
+        result = check_specfn()
+        assert not result.passed
+        assert result.detail.startswith("sphere_area(2) off by 1.0")
+
+    def test_specfn_area_recurrence(self, monkeypatch):
+        real = specfn.sphere_area
+        monkeypatch.setattr(specfn, "sphere_area", lambda d: real(d) * (1.0 + 1e-9 * (d == 10)))
+        result = check_specfn()
+        assert not result.passed
+        assert "recurrence defect 1.0" in result.detail
+
+    def test_willmore_minimum_off_target(self):
+        result = check_willmore_minimum(max_n=3, r_samples=1000, overrides={"willmore_min": 1e-300})
+        assert not result.passed
+        assert result.detail.startswith("n=2: min ")
+        assert "near balanced k" in result.detail
+
+    def test_willmore_degenerate_family_drifts(self, monkeypatch):
+        real = willmore.tube_willmore_energy
+        monkeypatch.setattr(
+            willmore,
+            "tube_willmore_energy",
+            lambda shape: real(shape) * (1.0 + 1e-6 * (shape.n1 == 0)),
+        )
+        result = check_willmore_minimum(max_n=2)
+        assert not result.passed
+        assert result.detail.startswith("n=2: k=0 family drifts from 2|S^n| by 1.0")
+
+    def test_area_chain_fails_at_n(self, monkeypatch):
+        monkeypatch.setattr(willmore, "verify_area_chain", lambda n: n != 7)
+        result = check_area_chain(max_n=10)
+        assert not result.passed
+        assert result.detail == "chain fails at n=7"
+
+    def test_area_chain_finite_difference(self):
+        result = check_area_chain(max_n=3, overrides={"logf_fd": 1e-300})
+        assert not result.passed
+        assert "fd defect" in result.detail and "(tol 1e-300)" in result.detail
+
+    def test_rpiso_verify_exits_1(self, capsys):
+        argv = ["verify", "--max-dim", "3", "--samples", "200", "--tol", "specfn_agree=1e-300"]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert "FAIL special_functions: quadrature mismatch" in err
+        assert "PASS successive_profiles" in err
