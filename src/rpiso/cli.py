@@ -3,8 +3,10 @@ Willmore tables, Clifford areas, and the verification suite.
 
 Each subcommand is declared once, by ``_command`` on its handler: help,
 flags (their argparse types enforce every bound) and the flags echoed
-under "extras".  Reports are CSV (17-significant-digit floats, LF
-endings) or JSON (schema_version "1", echoing the resolved
+under "extras".  Reports are CSV (LF endings, every row rendered by one
+%-template per report: %s for a str cell, %.17g for any other, so floats
+keep 17 significant digits, bools print as 1 or 0 and ints as their
+digits) or JSON (schema_version "1", echoing the resolved
 configuration).  Exit status is 0 on success, 1 when a verification
 check fails, 2 on usage errors.
 """
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import verify as verify_mod
 from .clifford import CliffordShape
-from .profile import CrossingNotFound, Space, profile_curve, total_volume, transition_volumes
+from .profile import CrossingNotFound, Space, _profile_columns, total_volume, transition_volumes
 from .spectrum import stability_report
 from .specfn import QuadratureError, sphere_area
 from .willmore import _MAX_N, clifford_area_f, width_candidate, willmore_report
@@ -43,10 +45,11 @@ _WIDTH_NOTE = (
 
 
 class _Report(NamedTuple):
-    """CSV header and rows, JSON payload (built on demand), exit status."""
+    """CSV header and rows, JSON payload (built on demand), exit status.
+    Rows are tuples; a column holds a str in every row or in none."""
 
     header: list[str]
-    rows: list
+    rows: list[tuple]
     payload: Callable[[], dict]
     status: int = 0
 
@@ -122,13 +125,14 @@ def _command(name: str, summary: str, *flags, extras: tuple[str, ...] = ()):
 )
 def _profile(args: argparse.Namespace) -> _Report:
     space = Space(args.space)
-    points = profile_curve(args.dim, args.samples, space)
+    header = ["volume", "perimeter", "best_k", "best_r"]
+    rows = list(zip(*_profile_columns(args.dim, args.samples, space)))
     return _Report(
-        ["volume", "perimeter", "best_k", "best_r"],
-        [[p.volume, p.perimeter, p.best_k, p.best_r] for p in points],
+        header,
+        rows,
         lambda: {
             "total_volume": total_volume(args.dim, space),
-            "points": [dataclasses.asdict(p) for p in points],
+            "points": [dict(zip(header, row)) for row in rows],
         },
     )
 
@@ -137,7 +141,7 @@ def _profile(args: argparse.Namespace) -> _Report:
 def _transitions(args: argparse.Namespace) -> _Report:
     space = Space(args.space)
     header = ["k", "k_next", "volume"]
-    rows = [list(c) for c in transition_volumes(args.dim, space)]
+    rows = transition_volumes(args.dim, space)
     return _Report(
         header,
         rows,
@@ -185,7 +189,7 @@ def _willmore(args: argparse.Namespace) -> _Report:
     columns = ["n", "sigma_n", "min_energy", "argmin_k", "argmin_r", "chain_ok", "convexity_ok"]
     return _Report(
         columns,
-        [[getattr(report, name) for name in columns]],
+        [tuple(getattr(report, name) for name in columns)],
         lambda: {"report": dataclasses.asdict(report), "note": _WIDTH_NOTE},
     )
 
@@ -198,7 +202,7 @@ def _willmore(args: argparse.Namespace) -> _Report:
 def _areas(args: argparse.Namespace) -> _Report:
     n = args.dim
     header = ["p", "area"]
-    rows = [[p, clifford_area_f(n, float(p))] for p in range(1, n)]
+    rows = [(p, clifford_area_f(n, float(p))) for p in range(1, n)]
     return _Report(
         header,
         rows,
@@ -228,24 +232,18 @@ def _verify(args: argparse.Namespace) -> _Report:
     all_passed = all(r.passed for r in results)
     return _Report(
         ["name", "passed", "detail"],
-        [[r.name, r.passed, r.detail.replace(",", ";")] for r in results],
+        [(r.name, r.passed, r.detail.replace(",", ";")) for r in results],
         lambda: {"checks": [dataclasses.asdict(r) for r in results], "all_passed": all_passed},
         0 if all_passed else 1,
     )
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    return format(value, ".17g") if isinstance(value, float) else str(value)
-
-
 def _write_report(args: argparse.Namespace, report: _Report) -> None:
     """Render the report in --format and write it to --out or stdout."""
     if args.format == "csv":
-        lines = [",".join(report.header)]
-        lines.extend(",".join(_fmt(x) for x in row) for row in report.rows)
-        text = "\n".join(lines) + "\n"
+        # '%.17g' % True is "1", and an int below 1e17 prints its digits.
+        row = ",".join("%s" if isinstance(x, str) else "%.17g" for x in report.rows[0])
+        text = "\n".join([",".join(report.header), *map(row.__mod__, report.rows)]) + "\n"
     else:
         config = {
             "command": args.command,

@@ -453,18 +453,26 @@ def _volume_grid(total: float, samples: int) -> np.ndarray:
     return total * (np.arange(1, samples + 1) / (samples + 1))
 
 
-def profile_curve(
+def _profile_columns(
     ambient_dim: int, samples: int, space: Space = Space.PROJECTIVE
-) -> list[ProfilePoint]:
-    """Profile sampled at samples interior volumes v_i = total * i/(samples+1)."""
+) -> tuple[list[float], list[float], list[int], list[float]]:
+    """The profile at samples interior volumes v_i = total * i/(samples+1)
+    as the columns volume, perimeter, best_k and best_r, in ProfilePoint's
+    field order: lists from one _envelope call, with the space's factor
+    applied to volumes and perimeters."""
     _check_int("samples", samples, 2)
     cover = _cover(space)
     volumes = _volume_grid(total_volume(ambient_dim), samples)
     best, perims, radii = _envelope(ambient_dim, volumes)
-    return [
-        ProfilePoint(volume=cover * v, perimeter=cover * p, best_k=k, best_r=r)
-        for v, p, k, r in zip(volumes.tolist(), perims.tolist(), best.tolist(), radii.tolist())
-    ]
+    return (cover * volumes).tolist(), (cover * perims).tolist(), best.tolist(), radii.tolist()
+
+
+def profile_curve(
+    ambient_dim: int, samples: int, space: Space = Space.PROJECTIVE
+) -> list[ProfilePoint]:
+    """Profile sampled at samples interior volumes v_i = total * i/(samples+1):
+    one ProfilePoint per row of _profile_columns."""
+    return list(map(ProfilePoint, *_profile_columns(ambient_dim, samples, space)))
 
 
 def transition_volumes(

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import math
 import sys
 
+import numpy as np
 import pytest
 
-from rpiso.cli import main
+from rpiso.cli import _Report, _write_report, main
+from rpiso.profile import Space, profile_curve
 
 
 def run_cli(argv):
@@ -85,6 +89,50 @@ class TestProfileCommand:
         text = path.read_text()
         assert text.startswith("volume,perimeter")
         assert text.endswith("\n")
+
+    # 37 is not a multiple of the envelope's node stride, so the last
+    # volumes fall between nodes.
+    @pytest.mark.parametrize("samples", [37, 2000])
+    @pytest.mark.parametrize("space", ["rp", "sphere"])
+    @pytest.mark.parametrize("dim", [3, 10])
+    def test_rows_equal_profile_curve(self, dim, space, samples):
+        points = profile_curve(dim, samples, Space(space))
+        argv = ["profile", "--dim", str(dim), "--samples", str(samples), "--space", space]
+        code, out, _ = run_cli(argv)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "volume,perimeter,best_k,best_r"
+        assert len(lines) == samples + 1
+        for line, p in zip(lines[1:], points):
+            volume, perimeter, best_k, best_r = line.split(",")
+            assert float(volume) == p.volume
+            assert float(perimeter) == p.perimeter
+            assert int(best_k) == p.best_k
+            assert float(best_r) == p.best_r
+        code, out, _ = run_cli(argv + ["--format", "json"])
+        assert code == 0
+        assert json.loads(out)["points"] == [dataclasses.asdict(p) for p in points]
+
+
+class TestWriteReport:
+    def test_csv_cells(self):
+        """Every non-str cell prints with 17 significant digits, a bool as
+        1 or 0 and an int as its digits; a str cell prints as it is."""
+        rows = [
+            (True, 0, 0.1, 1e-300, math.inf, np.float64(2.0 / 3.0), "first row"),
+            (False, -3, -0.0, 5e-324, math.nan, np.float64(1e300), "second"),
+            (True, 123456789, 1.0, 2.5, -math.inf, np.float64(-0.0), "x%sy"),
+        ]
+        args = argparse.Namespace(format="csv", out=None)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            _write_report(args, _Report(list("abcdefg"), rows, dict))
+        assert out.getvalue() == (
+            "a,b,c,d,e,f,g\n"
+            "1,0,0.10000000000000001,1e-300,inf,0.66666666666666663,first row\n"
+            "0,-3,-0,4.9406564584124654e-324,nan,1.0000000000000001e+300,second\n"
+            "1,123456789,1,2.5,-inf,-0,x%sy\n"
+        )
 
 
 class TestTransitionsCommand:
