@@ -126,13 +126,13 @@ def curvature(shape: CliffordShape) -> CurvatureData:
     """Principal curvature data of the shape for the outward (increasing r)
     unit normal: kappa1 = -tan r on the cos r factor, kappa2 = cot r on the
     sin r factor."""
-    s = shape.sin_r
-    c = shape.cos_r
-    kappa1 = -s / c
-    kappa2 = c / s
-    mean = _mean_curvature(shape.n1, shape.n2, c, s)
+    tan = shape.sin_r / shape.cos_r
+    cot = shape.cos_r / shape.sin_r
+    kappa1 = -tan
+    kappa2 = cot
+    mean = _mean_curvature(shape.n1, shape.n2, tan, cot)
     norm_sq = shape.n1 * kappa1 * kappa1 + shape.n2 * kappa2 * kappa2
-    beta = s / c - c / s
+    beta = tan - cot
     return CurvatureData(
         kappa1=kappa1,
         mult1=shape.n1,
@@ -151,10 +151,11 @@ def _power(x: float | np.ndarray, p: float) -> float | np.ndarray:
     return y if isinstance(x, np.ndarray) else float(y)
 
 
-def _mean_curvature(n1, n2, cos_r, sin_r):
-    """H = (n1 (-tan r) + n2 cot r) / (n1 + n2) per element; the factor
-    dimensions are ints or int arrays the shape of the latitudes."""
-    return (n1 * (-sin_r / cos_r) + n2 * (cos_r / sin_r)) / (n1 + n2)
+def _mean_curvature(n1, n2, tan_r, cot_r):
+    """H = (n1 (-tan r) + n2 cot r) / (n1 + n2) per element, from tan r and
+    cot r; the factor dimensions are ints, or int arrays that broadcast
+    against the latitudes."""
+    return (n1 * -tan_r + n2 * cot_r) / (n1 + n2)
 
 
 def _area(n1, n2, cos_r, sin_r):

@@ -24,11 +24,13 @@ agree bit for bit, whatever else shares a batch.  That solve is a bracketed
 Halley iteration on the log of the volume fraction, or of its complement
 above half volume, so radii keep their relative accuracy in both tails.  It
 stops on a relative step of 1e-14, or one evaluation earlier once Halley's
-error estimate for the step is below 1e-15 relative: about 2.8 incomplete
-beta evaluations per radius on the profile grids.  Above half volume a tube
-is evaluated through its complement, the mirror shape at the latitude
-s = pi/2 - r that the solve returns, so perimeters keep their relative
-accuracy up to the last double below the total.
+error estimate for the step is below 1e-15 relative.  Each element starts
+from a cached per-(p, q) table of the inverse, so on the profile grids most
+solves stop after their first evaluation: about 1.1 incomplete beta
+evaluations per radius, or 1.2 counting the table builds of a cold cache.
+Above half volume a tube is evaluated through its complement, the mirror
+shape at the latitude s = pi/2 - r that the solve returns, so perimeters
+keep their relative accuracy up to the last double below the total.
 
 The envelope solves only the families that can be lowest.  Each P_k is
 concave in v, since dP/dV = n H and the mean curvature H decreases as the
@@ -46,6 +48,7 @@ envelope.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -54,7 +57,7 @@ from enum import Enum
 import numpy as np
 
 from .clifford import CliffordShape, _area, _mean_curvature, area_rp
-from .specfn import _betainc_xc_vec, _check_int, _log_beta_norm, _per_pair, sphere_area
+from .specfn import _betainc_xc_vec, _check_int, _log_beta_norm, _pair_index, sphere_area
 
 __all__ = [
     "Space",
@@ -82,6 +85,12 @@ _LN_2 = math.log(2.0)
 _RADIUS_RTOL = 1e-14
 _HALLEY_RTOL = 1e-5
 _MAX_RADIUS_STEPS = 60
+
+# Latitudes of the radius solve's start tables, one table per (p, q):
+# geometric from 1e-6 up to pi/66, then every pi/66 up to 32 pi/66.
+_START_NODES = np.concatenate(
+    [np.geomspace(1e-6, _HALF_PI / 33, 8, endpoint=False), _HALF_PI * np.arange(1, 33) / 33]
+)
 
 # The handoff solve stops once a Newton step moves a volume fraction by at
 # most _HANDOFF_TOL or its bracket has closed to 4 ulp.  It raises
@@ -248,11 +257,53 @@ def _solve(n: int, k: int | np.ndarray, y: np.ndarray, upper: np.ndarray) -> np.
     return _invert_lower_fraction(y, np.where(upper, b, a), np.where(upper, a, b))
 
 
-def _start_constants(p: float, q: float) -> tuple[float, float, float]:
-    """log B(p, q), log(1 / B(p, q)) and the start scale (p B(p, q))^(1/(2p))
-    of the Halley solve for I(p, q)."""
+@functools.lru_cache(maxsize=1024)
+def _start_table(p: float, q: float) -> tuple[float, float, float, np.ndarray]:
+    """Per-(p, q) constants of the radius solve for I(p, q): log B(p, q),
+    log(1 / B(p, q)), the start scale (p B(p, q))^(1/(2p)), and a read-only
+    (3, nodes) table of log I_{sin^2 t}(p, q), log t and the slope
+    d log t / d log I = I / (t I') at the latitudes t of _START_NODES.
+    A node whose I underflows has log I = -inf.  A pure function of (p, q),
+    memoised: the cache can change no result."""
     ln_beta, ln_norm = _log_beta_norm(p, q)
-    return ln_beta, ln_norm, math.exp(0.5 * (math.log(p) + ln_beta) / p)
+    scale = math.exp(0.5 * (math.log(p) + ln_beta) / p)
+    s = np.sin(_START_NODES)
+    c = np.cos(_START_NODES)
+    with np.errstate(divide="ignore"):  # log 0 where I underflows
+        log_y = np.log(_betainc_xc_vec(s * s, c * c, p, q, ln_norm))
+    log_t = np.log(_START_NODES)
+    log_slope = _LN_2 + (2.0 * p - 1.0) * np.log(s) + (2.0 * q - 1.0) * np.log(c) - ln_beta
+    table = np.stack([log_y, log_t, np.exp(log_y - log_t - log_slope)])
+    table.flags.writeable = False
+    return ln_beta, ln_norm, scale, table
+
+
+def _table_start(tables: np.ndarray, row: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Start latitudes for I_{sin^2 t}(p, q) = y from the (pairs, 3, nodes)
+    stack of _start_table tables, row[i] naming element i's table: cubic
+    Hermite interpolation of log t over log y, with the node slopes,
+    extrapolated from the last interval above the last node and clipped
+    into (0, pi/2).  NaN below the first node whose I is positive.  Each
+    element's start depends only on its own y and table."""
+    u = np.log(y)
+    last = tables.shape[2] - 1
+    # One search over all rows: complex keys sort by row, then by log y.
+    # They are set by parts, since 1j * -inf has a NaN real part.
+    keys = np.empty(tables[:, 0].shape, dtype=complex)
+    keys.real = np.arange(tables.shape[0])[:, None]
+    keys.imag = tables[:, 0]
+    j = np.searchsorted(keys.ravel(), row + 1j * u, side="right") - row * (last + 1)
+    i = np.clip(j - 1, 0, last - 1)
+    u0, l0, m0 = tables[row, :, i].T
+    u1, l1, m1 = tables[row, :, i + 1].T
+    h = u1 - u0
+    x = (u - u0) / h
+    x1 = x - 1.0
+    # The Hermite basis on [u0, u1]; an underflowed node gives NaN.
+    log_t = (1.0 + 2.0 * x) * x1 * x1 * l0 + x * x1 * x1 * h * m0
+    log_t = log_t + x * x * (3.0 - 2.0 * x) * l1 + x * x * x1 * h * m1
+    t = np.clip(np.exp(log_t), sys.float_info.min, np.nextafter(_HALF_PI, 0.0))
+    return np.where((j > 0) & np.isfinite(log_t), t, np.nan)
 
 
 def _invert_lower_fraction(y: np.ndarray, p, q) -> np.ndarray:
@@ -265,11 +316,16 @@ def _invert_lower_fraction(y: np.ndarray, p, q) -> np.ndarray:
     f' = I'/I with I' = 2 sin^(2p-1) t cos^(2q-1) t / B(p, q), and
     f''/f' = (2p - 1) cot t - (2q - 1) tan t - I'/I, so the Halley step
     newton / (1 + newton f''/(2 f')) costs a few array operations over
-    Newton's; where it is not finite, the Newton step is taken.  Each
-    element starts from the small-radius asymptote
-    t = (y p B(p, q))^(1/(2p)), capped at 1.2, which is already exact in
-    double precision once (p + q) t^2 < 1e-16; that also covers the
-    fractions for which sin^2 t underflows.  Otherwise it keeps its own
+    Newton's; where it is not finite, the Newton step is taken.  An element
+    whose small-radius asymptote t = (y p B(p, q))^(1/(2p)) is already exact
+    in double precision, since (p + q) t^2 < 1e-16, takes it as the answer;
+    that also covers the fractions for which sin^2 t underflows.  Every
+    other element starts from the (p, q) table of _start_table, through
+    _table_start, or, below the table's first positive node and wherever
+    the table gives nothing finite, from the asymptote capped at 1.2.  The
+    tables are memoised by a bounded lru_cache, which only saves rebuilding
+    a pure function of (p, q), so it can change no result; each element's
+    start depends only on its own (y, p, q).  It then keeps its own
     bracket inside [0, pi/2] and bisects only when a step leaves it.  An
     element is done with t + step once the step moves t by at most
     _RADIUS_RTOL * t, or, without a confirming evaluation, once t + step
@@ -280,7 +336,15 @@ def _invert_lower_fraction(y: np.ndarray, p, q) -> np.ndarray:
     its state only on the steps where some finish.  Raises RuntimeError
     after _MAX_RADIUS_STEPS steps.
     """
-    ln_beta, ln_norm, scale = _per_pair(_start_constants, p, q)
+    per_element = isinstance(p, np.ndarray)
+    if per_element:
+        pairs, row = _pair_index(p, q)
+        ln_beta, ln_norm, scale, tables = zip(*(_start_table(*pair) for pair in pairs))
+        ln_beta, ln_norm, scale = (np.array(v)[row] for v in (ln_beta, ln_norm, scale))
+        tables = np.stack(tables)
+    else:
+        ln_beta, ln_norm, scale, table = _start_table(p, q)
+        row, tables = np.zeros(y.shape, dtype=int), table[None]
     # The exponent is an array even for one family: numpy takes sqrt for a
     # scalar 0.5, which would round some starts differently from a batch.
     t = np.minimum(np.power(y, np.full(y.shape, 0.5) / p) * scale, 1.2)
@@ -292,13 +356,15 @@ def _invert_lower_fraction(y: np.ndarray, p, q) -> np.ndarray:
     t, y = t[idx], y[idx]
     pm = 2.0 * p - 1.0
     qm = 2.0 * q - 1.0
-    per_element = isinstance(p, np.ndarray)
+    row = row[idx]
     if per_element:
         p, q, pm, qm, ln_beta, ln_norm = (v[idx] for v in (p, q, pm, qm, ln_beta, ln_norm))
     lo = np.zeros(idx.shape)
     hi = np.full(idx.shape, _HALF_PI)
     # A fraction that underflows to 0 gives a NaN step, which bisects.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        start = _table_start(tables, row, y)
+        t = np.where(np.isnan(start), t, start)
         for _ in range(_MAX_RADIUS_STEPS):
             if idx.size == 0:
                 return out
@@ -351,7 +417,7 @@ def _tubes(
     s = np.sin(t)
     perimeter = 0.5 * _area(n1, n - n1, c, s)  # area_rp
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        mean = _mean_curvature(n1, n - n1, c, s)  # infinite at the tiniest latitudes
+        mean = _mean_curvature(n1, n - n1, s / c, c / s)  # infinite at the tiniest latitudes
     return perimeter, np.where(upper, _HALF_PI - t, t), np.where(upper, -mean, mean)
 
 

@@ -261,16 +261,22 @@ def _betacf_vec(a, b, x: np.ndarray) -> np.ndarray:
     )
 
 
+def _pair_index(a: np.ndarray, b: np.ndarray) -> tuple[list[tuple[float, float]], np.ndarray]:
+    """The distinct (a, b) pairs of two arrays, in sorted order, and the
+    index into them of each element's pair."""
+    # As complex numbers, (a, b) pairs sort and compare as pairs.
+    keys, inverse = np.unique(a + 1j * b, return_inverse=True)
+    return [(key.real, key.imag) for key in keys.tolist()], inverse.reshape(-1)
+
+
 def _per_pair(fn, a, b):
     """fn(a, b) for floats a, b.  For arrays of one (a, b) per element, fn
     runs once per distinct pair and its values are spread back over the
     elements; a tuple-valued fn gives one array row per value."""
     if not isinstance(a, np.ndarray):
         return fn(a, b)
-    # As complex numbers, (a, b) pairs sort and compare as pairs.
-    keys, inverse = np.unique(a + 1j * b, return_inverse=True)
-    values = np.array([fn(key.real, key.imag) for key in keys.tolist()])
-    return values[inverse.reshape(-1)].T
+    pairs, inverse = _pair_index(a, b)
+    return np.array([fn(p, q) for p, q in pairs])[inverse].T
 
 
 def _betainc_xc_vec(x: np.ndarray, xc: np.ndarray, a, b, ln_norm=None) -> np.ndarray:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import CliffordShape, curvature
+from .clifford import CliffordShape, _mean_curvature
 from .specfn import _check_int, _log_sphere_area, log_gamma, sphere_area, trigamma
 
 __all__ = [
@@ -74,15 +74,23 @@ def tube_willmore_energy(shape: CliffordShape) -> float | np.ndarray:
     (n1, n2, cos r, sin r) -> (n2, n1, sin r, cos r), so mirror families
     k and n - k tie exactly at mirror latitudes.
     """
-    mean = curvature(shape).mean
+    areas = _log_sphere_area(shape.n1) + _log_sphere_area(shape.n2)
+    energy = _energy(areas, shape.n1, shape.n2, shape.cos_r, shape.sin_r)
+    return energy if isinstance(shape.r, np.ndarray) else float(energy)
+
+
+def _energy(log_areas, n1, n2, cos_r, sin_r):
+    """Willmore energies from log(|S^n1| |S^n2|) and the latitudes' cos and
+    sin; n1, n2 and log_areas are scalars, or columns that broadcast against
+    the latitudes, one family per row, so the trig of a grid is taken once."""
+    mean = _mean_curvature(n1, n2, sin_r / cos_r, cos_r / sin_r)
     log_energy = (
-        (_log_sphere_area(shape.n1) + _log_sphere_area(shape.n2))
-        + (shape.n1 * np.log(shape.cos_r) + shape.n2 * np.log(shape.sin_r))
-        + 0.5 * shape.n * np.log1p(mean * mean)
+        log_areas
+        + (n1 * np.log(cos_r) + n2 * np.log(sin_r))
+        + 0.5 * (n1 + n2) * np.log1p(mean * mean)
     )
     with np.errstate(over="ignore"):
-        energy = np.exp(log_energy)
-    return energy if isinstance(shape.r, np.ndarray) else float(energy)
+        return np.exp(log_energy)
 
 
 def clifford_area_f(n: int, x: float) -> float:
@@ -172,7 +180,10 @@ def energy_minimum(n: int, r_samples: int = 10_000) -> tuple[float, int, float]:
     _check_int("n", n, 2, _MAX_N)
     _check_int("r_samples", r_samples, 1000)
     r = _HALF_PI * (np.arange(1, r_samples + 1) / (r_samples + 1))
-    energy = np.array([tube_willmore_energy(CliffordShape(k, n - k, r)) for k in range(n + 1)])
+    # One row per family k, each element as tube_willmore_energy computes it.
+    k = np.arange(n + 1)[:, None]
+    log_area = np.array([_log_sphere_area(d) for d in range(n + 1)])
+    energy = _energy(log_area[k] + log_area[n - k], k, n - k, np.cos(r), np.sin(r))
     k, j = np.unravel_index(np.argmin(energy), energy.shape)
     return float(energy[k, j]), int(k), float(r[j])
 

@@ -273,9 +273,11 @@ class TestRadiusTails:
                 assert abs(r - ref) <= 1e-13 * ref, (k, f, r, ref)
 
     def test_few_incomplete_beta_evaluations_per_solve(self, monkeypatch):
-        # Halley steps plus the error-estimate stop: under three evaluated
-        # elements per (volume, family) radius solve on the profile grids,
-        # counting the solves the envelope actually runs.
+        # Table starts, Halley steps and the error-estimate stop: under one
+        # and a half evaluated elements per (volume, family) radius solve on
+        # the profile grids, counting the solves the envelope actually runs
+        # and, from a cold cache, the elements that build the start tables.
+        profile._start_table.cache_clear()
         evaluated = solved = 0
         betainc = profile._betainc_xc_vec
         solve = profile._solve
@@ -295,7 +297,7 @@ class TestRadiusTails:
         for dim in range(3, 17):
             profile_curve(dim, 2000)
         assert solved > 0
-        assert evaluated <= 3.0 * solved
+        assert evaluated <= 1.5 * solved
 
     @pytest.mark.parametrize("dim", range(3, 31))
     def test_best_family_at_both_ends(self, dim):
@@ -440,6 +442,36 @@ class TestPrunedEnvelope:
                 assert np.array_equal(
                     profile._radii_for_fractions(n, j, fracs[half]), batch[j][half]
                 )
+
+    @pytest.mark.parametrize("dim", [3, 10, 40, 150])
+    def test_start_table_cache_changes_no_result(self, dim):
+        # Every call answers the same from a cold start-table cache and a
+        # warm one, bit for bit, and each batch element equals its own call.
+        n = dim - 1
+        total = total_volume(dim)
+        fracs = np.array([1e-300, 1e-13, 0.3, 0.5, 1.0 - 1e-15])
+        # 1e-300 of the total underflows at dim 150, so there it is 1e-300.
+        volumes = np.append(np.maximum(fracs * total, 1e-300), np.nextafter(total, 0.0))
+        k = np.repeat(np.arange(n + 1), volumes.size)
+        vols = np.tile(volumes, n + 1)
+
+        def answers():
+            fams = [TubeFamily(dim, j) for j in range(n + 1)]
+            return (
+                [radius_for_volume(fam, v) for fam in fams for v in volumes.tolist()],
+                [profile_at(dim, v) for v in volumes.tolist()],
+                profile._radii_for_fractions(n, k, vols, total),
+                transition_volumes(dim) if dim == 150 else None,
+            )
+
+        profile._start_table.cache_clear()
+        cold = answers()
+        assert profile._start_table.cache_info().currsize > 0
+        warm = answers()
+        assert cold[:2] == warm[:2] and cold[3] == warm[3]
+        assert np.array_equal(cold[2], warm[2])
+        # The batch holds both halves of every family, one solve each.
+        assert cold[2].tolist() == cold[0]
 
     @pytest.mark.parametrize(
         "dim,samples",
