@@ -222,11 +222,8 @@ def _betacf_vec(a, b, x: np.ndarray) -> np.ndarray:
     for bit; small batches therefore loop over the scalar call."""
     x = np.asarray(x, dtype=float)
     if x.size < _CF_LOOP_BELOW:
-        if isinstance(a, np.ndarray):
-            values = [_betacf(p, q, u) for p, q, u in zip(a.tolist(), b.tolist(), x.tolist())]
-        else:
-            values = [_betacf(a, b, u) for u in x.tolist()]
-        return np.array(values).reshape(x.shape)
+        args = (np.broadcast_to(v, x.shape).ravel().tolist() for v in (a, b, x))
+        return np.array(list(map(_betacf, *args))).reshape(x.shape)
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
@@ -261,32 +258,15 @@ def _betacf_vec(a, b, x: np.ndarray) -> np.ndarray:
     )
 
 
-def _pair_index(a: np.ndarray, b: np.ndarray) -> tuple[list[tuple[float, float]], np.ndarray]:
-    """The distinct (a, b) pairs of two arrays, in sorted order, and the
-    index into them of each element's pair."""
-    # As complex numbers, (a, b) pairs sort and compare as pairs.
-    keys, inverse = np.unique(a + 1j * b, return_inverse=True)
-    return [(key.real, key.imag) for key in keys.tolist()], inverse.reshape(-1)
-
-
-def _per_pair(fn, a, b):
-    """fn(a, b) for floats a, b.  For arrays of one (a, b) per element, fn
-    runs once per distinct pair and its values are spread back over the
-    elements; a tuple-valued fn gives one array row per value."""
-    if not isinstance(a, np.ndarray):
-        return fn(a, b)
-    pairs, inverse = _pair_index(a, b)
-    return np.array([fn(p, q) for p, q in pairs])[inverse].T
-
-
 def _betainc_xc_vec(x: np.ndarray, xc: np.ndarray, a, b, ln_norm=None) -> np.ndarray:
     """Regularized incomplete beta I_x(a, b) per element, with the
     complement xc = 1 - x supplied by the caller.  Passing an independently
     computed complement (for example cos^2 r alongside sin^2 r) preserves
-    accuracy near x = 1.  a and b are floats, or arrays the shape of x.  A
-    caller that evaluates the same (a, b) many times may pass
-    ln_norm = _log_beta_norm(a, b)[1] (per element for arrays), the value
-    computed here otherwise.
+    accuracy near x = 1.  a and b are floats, or arrays the shape of x.
+    ln_norm is log(1 / B(a, b)), _log_beta_norm(a, b)[1]: computed here
+    when omitted, which only floats a and b may do; arrays a and b need it
+    per element.  A caller that evaluates the same (a, b) many times may
+    pass it for floats too.
 
     Past the mean the fraction converges slowly, so there it runs on the
     reflection I_x(a, b) = 1 - I_xc(b, a).  Both kinds of element share one
@@ -295,7 +275,7 @@ def _betainc_xc_vec(x: np.ndarray, xc: np.ndarray, a, b, ln_norm=None) -> np.nda
     x = np.asarray(x, dtype=float)
     xc = np.asarray(xc, dtype=float)
     if ln_norm is None:
-        ln_norm = _per_pair(_log_beta_norm, a, b)[1]
+        ln_norm = _log_beta_norm(a, b)[1]
     empty = x <= 0.0
     out = np.where(empty, 0.0, 1.0)
     mid = ~(empty | (xc <= 0.0))

@@ -272,6 +272,17 @@ class TestRadiusTails:
                 ref = _mp_radius(dim - 1, k, f, r)
                 assert abs(r - ref) <= 1e-13 * ref, (k, f, r, ref)
 
+    def test_radius_at_dimension_300(self):
+        # From dimension 236 on, the start-table slopes of the high mirror
+        # families overflow; those starts fall back to the asymptote, with
+        # no RuntimeWarning, which the test configuration turns into an error.
+        n = 299
+        fracs = np.array([1e-100, 1e-8, 0.3, 0.5, 0.7, 1.0 - 1e-8])
+        radii = profile._radii_for_fractions(n, n, fracs)
+        for f, r in zip(fracs.tolist(), radii.tolist()):
+            ref = _mp_radius(n, n, f, r)
+            assert abs(r - ref) <= 1e-13 * ref, (f, r, ref)
+
     def test_few_incomplete_beta_evaluations_per_solve(self, monkeypatch):
         # Table starts, Halley steps and the error-estimate stop: under one
         # and a half evaluated elements per (volume, family) radius solve on
