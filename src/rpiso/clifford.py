@@ -5,11 +5,12 @@ n2-sphere of radius sin r, sitting at latitude r inside S^(n+1) with
 n = n1 + n2.  Principal curvatures with respect to the unit normal that
 points toward growing r are -tan r on the first factor and cot r on the
 second, so the shape operator satisfies A^2 - beta0 A - Id = 0 with
-beta0 = cot r - tan r.  With a 1-D array of latitudes, curvature and the
-areas answer per element, equal bit for bit to the scalar calls.  The
-private kernels _area and _mean_curvature behind area_sphere and curvature
-also take int arrays of factor dimensions, one shape per element, for
-callers that evaluate many tube families in one batch.
+beta0 = cot r - tan r.  With a 1-D array of latitudes, curvature, the
+areas and parallel_jacobian answer per element, equal bit for bit to the
+scalar calls.  The private kernels _area and _mean_curvature behind
+area_sphere and curvature also take int arrays of factor dimensions, one
+shape per element, for callers that evaluate many tube families in one
+batch.
 """
 
 from __future__ import annotations
@@ -184,7 +185,9 @@ def area_rp(shape: CliffordShape) -> float | np.ndarray:
     return 0.5 * area_sphere(shape)
 
 
-def parallel_jacobian(shape: CliffordShape, t: float) -> float:
+def parallel_jacobian(
+    shape: CliffordShape, t: float | np.ndarray
+) -> float | np.ndarray:
     """Area density of the normal flow by distance t:
 
         (cos(r+t)/cos r)^n1 (sin(r+t)/sin r)^n2,
@@ -192,20 +195,20 @@ def parallel_jacobian(shape: CliffordShape, t: float) -> float:
     equal to the product of (cos t + kappa_i sin t) over principal
     curvatures.  Vanishes exactly at the focal latitudes r + t = 0 and
     r + t = pi/2 when the collapsing factor has positive dimension, and may
-    be negative past them.  Scalar latitudes only: an array-valued shape
-    raises ValueError.
+    be negative past them.  t is a float or a 1-D array that broadcasts
+    against the shape's latitudes; an array answers per element, equal bit
+    for bit to the scalar calls, and a float shape with a float t gives a
+    float.
     """
-    if isinstance(shape.r, np.ndarray):
-        raise ValueError(
-            "parallel_jacobian takes scalar latitudes only, got an array-valued shape"
-        )
-    t = float(t)
-    latitude = shape.r + t
-    if latitude == _HALF_PI and shape.n1 > 0:
-        return 0.0
-    c_ratio = math.cos(latitude) / shape.cos_r
-    s_ratio = math.sin(latitude) / shape.sin_r
-    return c_ratio**shape.n1 * s_ratio**shape.n2
+    latitude = shape.r + (np.array(t, dtype=float) if isinstance(t, np.ndarray) else float(t))
+    if np.ndim(latitude) > 1:
+        raise ValueError(f"t must be a float or 1-D array, got shape {np.shape(t)}")
+    c_ratio = np.cos(latitude) / shape.cos_r
+    s_ratio = np.sin(latitude) / shape.sin_r
+    density = _power(c_ratio, shape.n1) * _power(s_ratio, shape.n2)
+    if shape.n1 > 0:
+        density = np.where(latitude == _HALF_PI, 0.0, density)
+    return density if np.ndim(latitude) else float(density)
 
 
 def quadratic_roots(beta0: float) -> tuple[float, float]:

@@ -175,9 +175,10 @@ def _cover(space: Space) -> float:
     return _COVER[space]
 
 
-def _rp_volume(ambient_dim: int, v: float, space: Space) -> float:
+def _rp_volume(ambient_dim: int, v: float, space: Space) -> tuple[float, float]:
     """The volume v of the given space in RP^d units, once it is checked to
-    lie in (0, total) at an RP^d fraction of at least sys.float_info.min."""
+    lie in (0, total) at an RP^d fraction of at least sys.float_info.min,
+    and the RP^d total."""
     rp_total = total_volume(ambient_dim)
     total = _cover(space) * rp_total
     if not (0.0 < v < total):
@@ -185,7 +186,7 @@ def _rp_volume(ambient_dim: int, v: float, space: Space) -> float:
     rp_v = v / _cover(space)
     if rp_v / rp_total < sys.float_info.min:
         raise ValueError(f"volume must be at least {sys.float_info.min} of {total}, got {v}")
-    return rp_v
+    return rp_v, rp_total
 
 
 def _volume_fraction(n: int, k: int, r: np.ndarray) -> np.ndarray:
@@ -227,8 +228,8 @@ def radius_for_volume(fam: TubeFamily, v: float) -> float:
     ulp(pi/2)/2, it is exactly pi/2 (for TubeFamily(10, 0) at
     nextafter(total, 0), say), and tube_perimeter refuses it; profile_at
     evaluates the perimeter through the mirror latitude and keeps it."""
-    v = np.array([_rp_volume(fam.ambient_dim, float(v), fam.space)])
-    return float(_radii_for_fractions(fam.n, fam.k, v, total_volume(fam.ambient_dim))[0])
+    rp_v, total = _rp_volume(fam.ambient_dim, float(v), fam.space)
+    return float(_radii_for_fractions(fam.n, fam.k, np.array([rp_v]), total)[0])
 
 
 def _radii_for_fractions(
@@ -515,7 +516,7 @@ def profile_at(
     """Best tube boundary enclosing volume v among all core dimensions k,
     for v in (0, total) and at least sys.float_info.min of the total."""
     v = float(v)
-    best, perim, radius = _envelope(ambient_dim, np.array([_rp_volume(ambient_dim, v, space)]))
+    best, perim, radius = _envelope(ambient_dim, np.array([_rp_volume(ambient_dim, v, space)[0]]))
     return ProfilePoint(
         volume=v,
         perimeter=_cover(space) * float(perim[0]),

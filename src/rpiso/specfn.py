@@ -120,10 +120,6 @@ def log_gamma(x: float) -> float:
     return 0.5 * math.log(2.0 * math.pi) + (z + 0.5) * math.log(t) - t + math.log(acc)
 
 
-def _log_beta(a: float, b: float) -> float:
-    return _log_beta_norm(a, b)[0]
-
-
 def _log_beta_norm(a: float, b: float) -> tuple[float, float]:
     """log B(a, b) and log(1 / B(a, b)), the incomplete beta's normaliser,
     from one log_gamma each of a, b and a + b."""
@@ -359,18 +355,35 @@ def cossin_integral(n1: int, n2: int, r: float) -> float:
     return _refine(n1, n2, 0.0, r, whole, _QUAD_ABS_TOL, 1)
 
 
-def cossin_integral_closed(n1: int, n2: int, r: float) -> float:
+def cossin_integral_closed(
+    n1: int | np.ndarray, n2: int | np.ndarray, r: float | np.ndarray
+) -> float | np.ndarray:
     """Closed form of the same integral:
 
         (1/2) B((n2+1)/2, (n1+1)/2) * I_{sin^2 r}((n2+1)/2, (n1+1)/2).
+
+    Takes ints and a float, or int and float arrays of one shape, one
+    integral per element, in one incomplete-beta call with one log-beta per
+    distinct (n1, n2); a scalar call is that kernel on one element, so it
+    equals the matching element of any batch bit for bit.
     """
-    _check_int("n1", n1, 0)
-    _check_int("n2", n2, 0)
-    r = float(r)
-    if not (0.0 <= r <= _HALF_PI):
-        raise ValueError(f"radius must lie in [0, pi/2], got {r}")
-    a = 0.5 * (n2 + 1)
-    b = 0.5 * (n1 + 1)
-    s = np.sin(np.array([r]))
-    c = np.cos(np.array([r]))
-    return 0.5 * math.exp(_log_beta(a, b)) * float(_betainc_xc_vec(s * s, c * c, a, b)[0])
+    scalar = not isinstance(r, np.ndarray)
+    if scalar:
+        _check_int("n1", n1, 0)
+        _check_int("n2", n2, 0)
+    n1, n2, r = np.atleast_1d(n1), np.atleast_1d(n2), np.atleast_1d(np.asarray(r, dtype=float))
+    ints = all(np.issubdtype(n.dtype, np.integer) for n in (n1, n2))
+    if not (ints and n1.shape == n2.shape == r.shape and (n1 >= 0).all() and (n2 >= 0).all()):
+        raise ValueError("n1 and n2 must be integer arrays >= 0 of the shape of r")
+    outside = ~((0.0 <= r) & (r <= _HALF_PI))
+    if outside.any():
+        raise ValueError(f"radius must lie in [0, pi/2], got {r[outside][0]}")
+    pairs, inverse = np.unique(np.stack([n1.ravel(), n2.ravel()]), axis=1, return_inverse=True)
+    norms = [_log_beta_norm(0.5 * (m2 + 1), 0.5 * (m1 + 1)) for m1, m2 in pairs.T.tolist()]
+    inverse = inverse.ravel()
+    front = np.array([0.5 * math.exp(log_b) for log_b, _ in norms])[inverse]
+    ln_norm = np.array([ln for _, ln in norms])[inverse]
+    s, c = np.sin(r.ravel()), np.cos(r.ravel())
+    a, b = 0.5 * (n2.ravel() + 1), 0.5 * (n1.ravel() + 1)
+    out = front * _betainc_xc_vec(s * s, c * c, a, b, ln_norm)
+    return float(out[0]) if scalar else out.reshape(r.shape)

@@ -131,6 +131,12 @@ def logf_second_derivative(n: int, x: float | np.ndarray) -> float | np.ndarray:
     x = np.array(x, dtype=float) if isinstance(x, np.ndarray) else float(x)
     if not (np.ndim(x) <= 1 and np.all((0.0 < x) & (x < n))):
         raise ValueError(f"x must be a float or 1-D array in (0, {n}), got {x}")
+    return _logf_second_derivative(n, x)
+
+
+def _logf_second_derivative(n, x):
+    """The formula of logf_second_derivative, unchecked; n is an int, or an
+    int array the shape of x with one dimension per element."""
     y = n - x
     with np.errstate(over="ignore"):  # 0.5 / x is inf at a subnormal x, as for a float
         return (
@@ -155,17 +161,27 @@ def _chain_holds(n: int) -> bool:
     return all(lowest <= clifford_area_f(n, float(p)) < bound for p in range(1, n))
 
 
-def _convexity_holds(n: int) -> bool:
-    """(log f)'' > 0 on a uniform 1000-point grid spanning (0, n)."""
-    xs = np.linspace(0.01 * n, 0.99 * n, 1000)
-    return bool(np.all(logf_second_derivative(n, xs) > 0.0))
+def _convexity_holds(ns: np.ndarray) -> np.ndarray:
+    """(log f)'' > 0 on a uniform 1000-point grid spanning (0, n), per n of
+    a 1-D int array: every grid in one pass of the formula."""
+    xs = np.linspace(0.01 * ns, 0.99 * ns, 1000, axis=1)
+    d2 = _logf_second_derivative(np.repeat(ns, xs.shape[1]), xs.ravel())
+    return (d2 > 0.0).reshape(xs.shape).all(axis=1)
 
 
-def verify_area_chain(n: int) -> bool:
+def verify_area_chain(n: int | np.ndarray) -> bool | np.ndarray:
     """True when the interpolating area function is log-convex on a dense
-    grid and the integer chain 2 |S^n| > f(p) >= sigma_n holds."""
-    _check_int("n", n, 2, _MAX_N)
-    return _chain_holds(n) and _convexity_holds(n)
+    grid and the integer chain 2 |S^n| > f(p) >= sigma_n holds.  n is an
+    int, or a 1-D int array answered per element with the verdicts of the
+    scalar calls."""
+    ns = n if isinstance(n, np.ndarray) else np.array([n])
+    if ns.ndim != 1:
+        raise ValueError(f"n must be an integer or a 1-D integer array, got {n!r}")
+    dims = ns.tolist()
+    for m in dims:
+        _check_int("n", m, 2, _MAX_N)
+    ok = np.array([_chain_holds(m) for m in dims], dtype=bool) & _convexity_holds(ns)
+    return ok if isinstance(n, np.ndarray) else bool(ok[0])
 
 
 def energy_minimum(n: int, r_samples: int = 10_000) -> tuple[float, int, float]:
@@ -198,5 +214,5 @@ def willmore_report(n: int, r_samples: int = 10_000) -> WillmoreReport:
         argmin_k=k,
         argmin_r=r,
         chain_ok=_chain_holds(n),
-        convexity_ok=_convexity_holds(n),
+        convexity_ok=bool(_convexity_holds(np.array([n]))[0]),
     )

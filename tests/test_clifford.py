@@ -149,10 +149,41 @@ class TestParallelJacobian:
         shape2 = CliffordShape(2, 3, 0.25)
         assert parallel_jacobian(shape2, -0.25) == 0.0
 
-    def test_rejects_array_valued_shape(self):
-        shape = CliffordShape(1, 2, np.array([0.3, 0.4]))
-        with pytest.raises(ValueError, match="scalar latitudes only"):
-            parallel_jacobian(shape, 0.1)
+    @pytest.mark.parametrize("n1,n2", [(0, 3), (1, 1), (1, 2), (2, 3), (5, 0)])
+    def test_array_equals_scalar_calls(self, n1, n2):
+        # Element 0 sits at the focal latitude r + t = pi/2 (exactly, as in
+        # test_focal_collapse_is_exact_zero), element 1 past it, element 2
+        # at r + t = 0; the rest flow both ways from seeded latitudes.
+        rng = np.random.default_rng(29)
+        rs = np.concatenate([[0.25, 0.4, 0.3], LATITUDES])
+        ts = np.concatenate(
+            [[HALF_PI - 0.25, HALF_PI - 0.4 + 0.05, -0.3], rng.uniform(-0.5, 0.5, LATITUDES.size)]
+        )
+        whole = parallel_jacobian(CliffordShape(n1, n2, rs), ts)
+        assert isinstance(whole, np.ndarray) and whole.shape == rs.shape
+        singles = [
+            parallel_jacobian(CliffordShape(n1, n2, r), t) for r, t in zip(rs.tolist(), ts.tolist())
+        ]
+        assert all(type(v) is float for v in singles)
+        assert [v.hex() for v in whole.tolist()] == [v.hex() for v in singles]
+        if n1 > 0:
+            assert whole[0] == 0.0
+        assert (whole[1] < 0.0) == (n1 % 2 == 1)
+        if n2 > 0:
+            assert whole[2] == 0.0
+
+    def test_t_broadcasts_against_latitudes(self):
+        ts = np.linspace(-0.2, 0.6, 9)
+        moved = parallel_jacobian(CliffordShape(2, 3, 0.5), ts)
+        assert moved.tolist() == [parallel_jacobian(CliffordShape(2, 3, 0.5), t) for t in ts.tolist()]
+        rs = np.linspace(0.1, 1.2, 9)
+        fixed = parallel_jacobian(CliffordShape(2, 3, rs), 0.3)
+        assert fixed.tolist() == [parallel_jacobian(CliffordShape(2, 3, r), 0.3) for r in rs.tolist()]
+
+    @pytest.mark.parametrize("t", [np.zeros(3), np.zeros((2, 2))], ids=["length", "2-D"])
+    def test_rejects_t_of_another_shape(self, t):
+        with pytest.raises(ValueError):
+            parallel_jacobian(CliffordShape(1, 2, np.array([0.3, 0.4])), t)
 
     def test_area_transport(self):
         rng = np.random.default_rng(19)

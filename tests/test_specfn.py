@@ -13,7 +13,7 @@ from rpiso import specfn
 from rpiso.specfn import (
     QuadratureError,
     _betainc_xc_vec,
-    _log_beta,
+    _log_beta_norm,
     cossin_integral,
     cossin_integral_closed,
     log_gamma,
@@ -237,7 +237,7 @@ class TestRegIncBeta:
                 a, b = 0.5 * (n - k + 1), 0.5 * (k + 1)
                 batched = _betainc_xc_vec(x, xc, a, b)
                 reflected = _betainc_xc_vec(x, 1.0 - x, a, b)
-                front = 0.5 * math.exp(_log_beta(a, b))
+                front = 0.5 * math.exp(_log_beta_norm(a, b)[0])
                 fam = TubeFamily(dim, k)
                 for i, r in enumerate(rs.tolist()):
                     assert _betainc_xc_vec(x[i : i + 1], xc[i : i + 1], a, b)[0] == batched[i]
@@ -276,6 +276,37 @@ class TestCossinIntegral:
                     quad = cossin_integral(n1, n2, r)
                     closed = cossin_integral_closed(n1, n2, r)
                     assert quad == pytest.approx(closed, rel=1e-10, abs=1e-300)
+
+    def test_closed_form_array_equals_scalar_calls(self):
+        # The 484-point grid of rpiso verify, plus both ends of the arc.
+        grid = np.meshgrid(np.arange(11), np.arange(11), (0.1, 0.5, 1.0, 1.5), indexing="ij")
+        for n1, n2, r in [(g.ravel() for g in grid), ([0, 3, 7], [5, 0, 7], [0.0, HALF_PI, HALF_PI])]:
+            n1, n2, r = np.asarray(n1), np.asarray(n2), np.asarray(r, dtype=float)
+            whole = cossin_integral_closed(n1, n2, r)
+            assert isinstance(whole, np.ndarray) and whole.shape == r.shape
+            singles = [
+                cossin_integral_closed(*args) for args in zip(n1.tolist(), n2.tolist(), r.tolist())
+            ]
+            assert all(type(v) is float for v in singles)
+            assert [v.hex() for v in whole.tolist()] == [v.hex() for v in singles]
+        square = cossin_integral_closed(np.eye(2, dtype=int), np.ones((2, 2), dtype=int), np.full((2, 2), 0.5))
+        assert square.shape == (2, 2) and square[0, 1] == cossin_integral_closed(0, 1, 0.5)
+
+    @pytest.mark.parametrize(
+        "n1,n2,r,match",
+        [
+            ([1, 2], [1], [0.5, 0.5], "shape of r"),
+            ([1.0, 2.0], [1, 1], [0.5, 0.5], "integer arrays"),
+            ([True, False], [1, 1], [0.5, 0.5], "integer arrays"),
+            ([1, -1], [1, 1], [0.5, 0.5], ">= 0"),
+            ([1, 1], [1, 1], [0.5, -0.1], r"\[0, pi/2\], got -0.1$"),
+            ([1, 1], [1, 1], [0.5, math.nan], r"got nan$"),
+        ],
+        ids=["shape", "float", "bool", "negative", "radius", "nan"],
+    )
+    def test_closed_form_rejects_bad_arrays(self, n1, n2, r, match):
+        with pytest.raises(ValueError, match=match):
+            cossin_integral_closed(np.array(n1), np.array(n2), np.array(r))
 
     def test_power_swap_symmetry_on_full_arc(self):
         # t -> pi/2 - t swaps the roles of the two powers.
@@ -321,6 +352,7 @@ _NON_INTEGERS = [
     pytest.param("samples", lambda: profile_curve(4, True), id="profile_curve"),
     pytest.param("samples", lambda: successive_check(4, 300.0), id="successive_check"),
     pytest.param("n1", lambda: cossin_integral(True, 1, 0.3), id="cossin_integral"),
+    pytest.param("n2", lambda: cossin_integral_closed(1, 2.0, 0.3), id="cossin_integral_closed"),
 ]
 
 

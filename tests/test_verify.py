@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 
-from rpiso import cli, profile, spectrum, specfn, willmore
+from rpiso import cli, clifford, profile, spectrum, specfn, willmore
 from rpiso.verify import (
     DEFAULT_TOLERANCES,
+    CheckResult,
     check_area_chain,
     check_identities,
     check_rp3,
@@ -80,6 +84,102 @@ def test_successive_detail_lists_dims():
     result = check_successive(max_dim=4, samples=200)
     assert result.passed
     assert "3..4" in result.detail
+
+
+HALF_PI = 0.5 * math.pi
+
+
+def reference_identities(count: int = 1000, seed: int = 20240817) -> tuple[CheckResult, float]:
+    """check_identities as one scalar shape per draw: the result and the
+    worst residual."""
+    tol = DEFAULT_TOLERANCES["identity"]
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(count):
+        n1 = int(rng.integers(0, 7))
+        n2 = int(rng.integers(0 if n1 > 0 else 1, 7))
+        r = float(rng.uniform(0.05, HALF_PI - 0.05))
+        shape = clifford.CliffordShape(n1, n2, r)
+        data = clifford.curvature(shape)
+        n = shape.n
+        trace = data.norm_sq - n + data.beta * n * data.mean
+        worst = max(worst, abs(trace))
+        for kappa in (data.kappa1, data.kappa2):
+            worst = max(worst, abs(kappa * kappa + data.beta * kappa - 1.0))
+        t = float(rng.uniform(0.0, HALF_PI - r - 0.01))
+        moved = clifford.CliffordShape(n1, n2, r + t)
+        lhs = clifford.parallel_jacobian(shape, t) * clifford.area_sphere(shape)
+        rhs = clifford.area_sphere(moved)
+        worst = max(worst, abs(lhs - rhs) / rhs)
+    detail = f"worst identity residual {worst:.2e} over {count} random shapes (tol {tol:.0e})"
+    return CheckResult("algebraic_identities", worst <= tol, detail), worst
+
+
+def reference_specfn() -> tuple[CheckResult, float]:
+    """check_specfn with one scalar closed-form call per point: the result
+    and the quadrature agreement."""
+    area_tol = DEFAULT_TOLERANCES["sphere_area"]
+    worst = 0.0
+    for n1 in range(11):
+        for n2 in range(11):
+            for r in (0.1, 0.5, 1.0, 1.5):
+                quad = specfn.cossin_integral(n1, n2, r)
+                closed = specfn.cossin_integral_closed(n1, n2, r)
+                worst = max(worst, abs(quad - closed) / max(abs(closed), 1e-300))
+    known = [(1, 2.0 * math.pi), (2, 4.0 * math.pi), (3, 2.0 * math.pi**2)]
+    known_ok = all(abs(specfn.sphere_area(d) - area) / area <= area_tol for d, area in known)
+    rec_worst = 0.0
+    for d in range(2, 61):
+        lhs = specfn.sphere_area(d)
+        rhs = 2.0 * math.pi * specfn.sphere_area(d - 2) / (d - 1)
+        rec_worst = max(rec_worst, abs(lhs - rhs) / rhs)
+    detail = f"quadrature agreement {worst:.2e}, recurrence defect {rec_worst:.2e}"
+    ok = worst <= DEFAULT_TOLERANCES["specfn_agree"] and known_ok and rec_worst <= area_tol
+    return CheckResult("special_functions", ok, detail), worst
+
+
+def reference_area_chain(max_n: int = 50) -> tuple[CheckResult, float]:
+    """check_area_chain with one verify_area_chain call per n: the result
+    and the finite-difference defect."""
+    fd_tol = DEFAULT_TOLERANCES["logf_fd"]
+    for n in range(2, max_n + 1):
+        if not willmore.verify_area_chain(n):
+            return CheckResult("area_chain", False, f"chain fails at n={n}"), math.nan
+    worst = 0.0
+    for n in (2, 3, 7):
+        for x in (0.3, 0.7, 1.3):
+            h = 1e-4
+            fd = (
+                math.log(willmore.clifford_area_f(n, x + h))
+                - 2.0 * math.log(willmore.clifford_area_f(n, x))
+                + math.log(willmore.clifford_area_f(n, x - h))
+            ) / (h * h)
+            exact = willmore.logf_second_derivative(n, x)
+            worst = max(worst, abs(fd - exact) / abs(exact))
+    detail = (
+        f"chain and convexity hold for n=2..{max_n}; fd defect {worst:.2e} (tol {fd_tol:.0e})"
+    )
+    return CheckResult("area_chain", worst <= fd_tol, detail), worst
+
+
+@pytest.mark.parametrize(
+    "check,reference,kwargs,tolerance",
+    [
+        (check_identities, reference_identities, {}, "identity"),
+        (check_identities, reference_identities, {"count": 200, "seed": 7}, "identity"),
+        (check_specfn, reference_specfn, {}, "specfn_agree"),
+        (check_area_chain, reference_area_chain, {}, "logf_fd"),
+    ],
+    ids=["identities", "identities-200-7", "specfn", "area_chain"],
+)
+def test_batched_check_matches_scalar_reference(check, reference, kwargs, tolerance):
+    # Same verdict and detail as the scalar loop; the tolerance bracket puts
+    # the residual the check compares within 1e-15 of the reference's.
+    expected, residual = reference(**kwargs)
+    assert expected.passed
+    assert check(**kwargs) == expected
+    assert check(**kwargs, overrides={tolerance: residual + 1e-15}).passed
+    assert not check(**kwargs, overrides={tolerance: residual - 1e-15}).passed
 
 
 class TestFailurePaths:

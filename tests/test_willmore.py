@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import HALF_PI, assert_elementwise, random_shapes
+from rpiso import willmore
 from rpiso.clifford import CliffordShape, area_sphere, curvature
 from rpiso.specfn import sphere_area, trigamma
 from rpiso.willmore import (
@@ -182,6 +183,42 @@ class TestAreaChain:
     def test_through_n50(self):
         for n in range(2, 51):
             assert verify_area_chain(n)
+
+    def test_array_equals_per_n_calls(self, monkeypatch):
+        ns = np.arange(2, 51)
+        verdicts = verify_area_chain(ns)
+        assert isinstance(verdicts, np.ndarray) and verdicts.dtype == bool
+        assert verdicts.tolist() == [verify_area_chain(n) for n in ns.tolist()]
+        # A chain that fails at one n fails only that element.
+        real = willmore._chain_holds
+        monkeypatch.setattr(willmore, "_chain_holds", lambda n: n != 7 and real(n))
+        assert verify_area_chain(ns).tolist() == [n != 7 for n in ns.tolist()]
+        assert verify_area_chain(7) is False
+
+    def test_one_pass_convexity_grids_equal_per_n_grids(self):
+        # The grids of every n, in one pass of the formula, hold the doubles
+        # of logf_second_derivative on each n's own grid.
+        ns = np.arange(2, 51)
+        xs = np.linspace(0.01 * ns, 0.99 * ns, 1000, axis=1)
+        whole = willmore._logf_second_derivative(np.repeat(ns, 1000), xs.ravel()).reshape(xs.shape)
+        for n, row in zip(ns.tolist(), whole):
+            alone = logf_second_derivative(n, np.linspace(0.01 * n, 0.99 * n, 1000))
+            assert row.tobytes() == alone.tobytes(), n
+
+    @pytest.mark.parametrize(
+        "ns,match",
+        [
+            (np.array([[2, 3]]), "1-D integer array"),
+            (np.array([2.0, 3.0]), "^n must be an integer, got 2.0$"),
+            (np.array([True, False]), "^n must be an integer, got True$"),
+            (np.array([3, 438]), "^n must be <= 437, got 438$"),
+            (np.array([3, 1]), "^n must be >= 2, got 1$"),
+        ],
+        ids=["2-D", "float", "bool", "438", "1"],
+    )
+    def test_array_rejects_bad_dimension(self, ns, match):
+        with pytest.raises(ValueError, match=match):
+            verify_area_chain(ns)
 
 
 class TestWidthCandidate:
