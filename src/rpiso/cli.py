@@ -202,7 +202,7 @@ def _willmore(args: argparse.Namespace) -> _Report:
 def _areas(args: argparse.Namespace) -> _Report:
     n = args.dim
     header = ["p", "area"]
-    rows = [(p, clifford_area_f(n, float(p))) for p in range(1, n)]
+    rows = list(zip(range(1, n), clifford_area_f(n, np.arange(1.0, n)).tolist()))
     return _Report(
         header,
         rows,

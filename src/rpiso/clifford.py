@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .specfn import _check_int, sphere_area
+from .specfn import _check_int, _log_sphere_area, sphere_area
 
 __all__ = [
     "CliffordShape",
@@ -161,10 +161,11 @@ def _mean_curvature(n1, n2, tan_r, cot_r):
 
 def _area(n1, n2, cos_r, sin_r):
     """|S^n1| |S^n2| cos^n1(r) sin^n2(r) per element; the factor dimensions
-    are ints, or int arrays the shape of the latitudes, for which each
-    sphere area up to the largest dimension is evaluated once."""
+    are ints, or int arrays the shape of the latitudes, for which the
+    sphere areas up to the largest dimension are one array pass, equal bit
+    for bit to sphere_area."""
     if isinstance(n1, np.ndarray):
-        areas = np.array([sphere_area(d) for d in range(int(max(n1.max(), n2.max())) + 1)])
+        areas = np.exp(_log_sphere_area(np.arange(max(n1.max(), n2.max()) + 1)))
         a1, a2 = areas[n1], areas[n2]
     else:
         a1, a2 = sphere_area(n1), sphere_area(n2)

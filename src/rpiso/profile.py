@@ -189,25 +189,19 @@ def _rp_volume(ambient_dim: int, v: float, space: Space) -> tuple[float, float]:
     return rp_v, rp_total
 
 
-def _volume_fraction(n: int, k: int, r: np.ndarray) -> np.ndarray:
-    """Share of the total volume inside the latitude-r tubes around RP^k:
-    I_{sin^2 r}((n - k + 1)/2, (k + 1)/2) per element."""
-    s = np.sin(r)
-    c = np.cos(r)
-    return _betainc_xc_vec(s * s, c * c, 0.5 * (n - k + 1), 0.5 * (k + 1))
-
-
 def tube_volume(fam: TubeFamily, r: float) -> float:
     """Volume enclosed by the latitude-r tube boundary around RP^k.
 
     Strictly increasing from 0 at r = 0 to the full ambient volume at
-    r = pi/2 for every k; evaluated through the incomplete-beta closed
-    form of the cos^k sin^(n-k) integral.
+    r = pi/2 for every k; the total times the volume fraction
+    I_{sin^2 r}((n - k + 1)/2, (k + 1)/2), the incomplete-beta closed form
+    of the cos^k sin^(n-k) integral.
     """
     r = float(r)
     if not (0.0 <= r <= _HALF_PI):
         raise ValueError(f"radius must lie in [0, pi/2], got {r}")
-    frac = float(_volume_fraction(fam.n, fam.k, np.array([r]))[0])
+    s, c = np.sin([r]), np.cos([r])
+    frac = float(_betainc_xc_vec(s * s, c * c, 0.5 * (fam.n - fam.k + 1), 0.5 * (fam.k + 1))[0])
     return total_volume(fam.ambient_dim, fam.space) * frac
 
 
@@ -282,8 +276,8 @@ def _start_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     j = np.arange(n + 1)
     p = 0.5 * (n + 1 - j)
     q = 0.5 * (j + 1)
-    ln_beta, ln_norm = np.array(list(map(_log_beta_norm, p.tolist(), q.tolist()))).T
-    scale = np.array([math.exp(0.5 * (math.log(a) + lb) / a) for a, lb in zip(p.tolist(), ln_beta)])
+    ln_beta, ln_norm = _log_beta_norm(p, q)
+    scale = np.exp(0.5 * (np.log(p) + ln_beta) / p)
     s = np.sin(_START_NODES)
     c = np.cos(_START_NODES)
     a, b, norm = np.repeat([p, q, ln_norm], _START_NODES.size, axis=1)
@@ -431,42 +425,33 @@ def _tubes(
     return perimeter, np.where(upper, _HALF_PI - t, t), np.where(upper, -mean, mean)
 
 
-def _tube_table(ambient_dim: int, volumes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(perimeter, radius) arrays of shape (n + 1, volumes.size) for
-    volumes in RP^d: row k holds tube family k at each volume."""
-    n = ambient_dim - 1
-    y, upper = _split(np.asarray(volumes, dtype=float), total_volume(ambient_dim))
-    k = np.repeat(np.arange(n + 1), y.size)
-    perims, radii, _ = _tubes(n, k, np.tile(y, n + 1), np.tile(upper, n + 1))
-    return perims.reshape(n + 1, y.size), radii.reshape(n + 1, y.size)
-
-
 def _envelope(
-    ambient_dim: int, volumes: np.ndarray
+    ambient_dim: int, volumes: np.ndarray, total: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lower envelope over k of the tube perimeters at fixed volumes in RP^d.
+    """Lower envelope over k of the tube perimeters at fixed volumes in RP^d,
+    whose total volume is total.
 
     Returns (best_k, perimeter, radius) arrays; ties pick the smallest k.
-    The answers are those of np.argmin over _tube_table, bit for bit, from
-    far fewer radius solves.  Each P_k is concave in v: dP/dV = n H, and H
-    decreases as r, and with it v, grows.  So on an interval between two
-    volumes a and b, P_k lies above its chord and below both its end
-    tangents.  Every family is solved at the nodes, every _NODE_STRIDE-th
-    volume in sorted order plus the last; raises RuntimeError if some
-    family's slope there does not decrease, since the bounds would then not
-    hold.  Between the nodes, family k is solved at v only when its chord
+    The answers are those of np.argmin over every family solved at every
+    volume, bit for bit, from far fewer radius solves.  Each P_k is concave
+    in v: dP/dV = n H, and H decreases as r, and with it v, grows.  So on an
+    interval between two volumes a and b, P_k lies above its chord and
+    below both its end tangents.  Every family is solved at the nodes,
+    every _NODE_STRIDE-th volume in sorted order plus the last; raises
+    RuntimeError if some family's slope there does not decrease, since the
+    bounds would then not hold.  Between the nodes, family k is solved at v only when its chord
     is at most (1 + _PRUNE_MARGIN) times the smallest end tangent of any
     family, plus 1e-12 of the bounds' largest term for their rounding.  A
     family skipped at v lies above its chord, and so above the family of
     that tangent, by more than rounding: strictly above the lowest one, so
     ties still go to the smallest k.  Each element is solved on its own, so
-    the solved ones equal their _tube_table entries.
+    the solved ones equal their entries in the full table.
     """
     n = ambient_dim - 1
     volumes = np.asarray(volumes, dtype=float)
     order = np.argsort(volumes, kind="stable")
     v = volumes[order]
-    y, upper = _split(v, total_volume(ambient_dim))
+    y, upper = _split(v, total)
     is_node = np.zeros(v.size, dtype=bool)
     is_node[::_NODE_STRIDE] = True
     is_node[-1] = True
@@ -516,7 +501,8 @@ def profile_at(
     """Best tube boundary enclosing volume v among all core dimensions k,
     for v in (0, total) and at least sys.float_info.min of the total."""
     v = float(v)
-    best, perim, radius = _envelope(ambient_dim, np.array([_rp_volume(ambient_dim, v, space)[0]]))
+    rp_v, total = _rp_volume(ambient_dim, v, space)
+    best, perim, radius = _envelope(ambient_dim, np.array([rp_v]), total)
     return ProfilePoint(
         volume=v,
         perimeter=_cover(space) * float(perim[0]),
@@ -538,8 +524,9 @@ def _profile_columns(
     applied to volumes and perimeters."""
     _check_int("samples", samples, 2)
     cover = _cover(space)
-    volumes = _volume_grid(total_volume(ambient_dim), samples)
-    best, perims, radii = _envelope(ambient_dim, volumes)
+    total = total_volume(ambient_dim)
+    volumes = _volume_grid(total, samples)
+    best, perims, radii = _envelope(ambient_dim, volumes, total)
     return (cover * volumes).tolist(), (cover * perims).tolist(), best.tolist(), radii.tolist()
 
 
@@ -610,7 +597,7 @@ def transition_volumes(
     handoffs = rp_total * out
     if np.any(np.diff(handoffs) <= 0.0):
         raise CrossingNotFound(f"handoff volumes {handoffs.tolist()} do not increase in k")
-    best = _envelope(ambient_dim, handoffs)[0]
+    best = _envelope(ambient_dim, handoffs, rp_total)[0]
     for k, j in enumerate(best.tolist()):
         if j not in (k, k + 1):
             raise CrossingNotFound(
@@ -626,7 +613,8 @@ def successive_check(ambient_dim: int, samples: int) -> bool:
     k from 0 to n appears: tube families hand off one after another.  Radii
     and best k are the same in both spaces, so there is one answer."""
     _check_int("samples", samples, 100)
-    best, _, _ = _envelope(ambient_dim, _volume_grid(total_volume(ambient_dim), samples))
+    total = total_volume(ambient_dim)
+    best, _, _ = _envelope(ambient_dim, _volume_grid(total, samples), total)
     if not np.all(np.diff(best) >= 0):
         return False
     return set(np.unique(best).tolist()) == set(range(ambient_dim))

@@ -6,10 +6,14 @@ sphere surface areas, log-gamma (fixed Lanczos coefficient table), trigamma
 function (Lentz continued fraction with the usual symmetry switch), and an
 adaptive Gauss-Legendre integrator for cos^a(t) sin^b(t) integrands.
 
-Everything here is deterministic and depends only on ``math`` and ``numpy``.
-The incomplete beta has one path, the batched _betainc_xc_vec; scalar entry
-points call it on size-1 arrays, so they return the same doubles as the
-matching element of any batch.
+Everything here is deterministic and depends only on ``math`` and ``numpy``,
+and each function has one path for a scalar and for an array, so a scalar
+call returns the same double as the matching element of any batch.
+log_gamma and trigamma take a float or a 1-D array and write their formula
+once; a float runs an element's steps.  The incomplete beta is the batched
+_betainc_xc_vec, which scalar entry points call on size-1 arrays.  The
+quadrature refines all its integrals together, level by level, and a scalar
+call is the batch on one element.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ __all__ = [
 _HALF_PI = 0.5 * math.pi
 _LN_PI = math.log(math.pi)
 _LN_2 = math.log(2.0)
+_HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
 
 # Lanczos approximation, g = 7, 9 coefficients.  Relative error of the
 # resulting log-gamma is a few 1e-15 across [0.5, 200].  Below x ~ 0.1 it
@@ -99,30 +104,41 @@ _QUAD_REL_TOL = 1e-12
 _QUAD_MAX_DEPTH = 40
 
 
-def log_gamma(x: float) -> float:
-    """Natural logarithm of the Gamma function for finite x > 0.
+def log_gamma(x: float | np.ndarray) -> float | np.ndarray:
+    """Natural logarithm of the Gamma function for finite x > 0, a float or
+    a 1-D array.  A float runs an element's steps: its + - * / on Python
+    floats, which round as numpy's do, and its logs through np.log; it
+    comes back a float, so array and scalar calls agree bit for bit.
 
     Lanczos rational approximation for x >= 0.5.  Below that,
     ln Gamma(x) = ln Gamma(x + 1) - ln x keeps the relative error within
     1e-13 down to the smallest positive double; no reflection branch is
     needed because the argument is restricted to the positive axis.
     """
-    x = float(x)
-    if not (x > 0.0 and math.isfinite(x)):
-        raise ValueError(f"log_gamma requires finite x > 0, got {x}")
-    if x < 0.5:
-        return log_gamma(x + 1.0) - math.log(x)
-    z = x - 1.0
+    if isinstance(x, np.ndarray):
+        t = np.array(x, dtype=float)
+        valid = t.ndim <= 1 and ((t > 0.0) & (t < math.inf)).all()
+    else:
+        t = float(x)
+        valid = 0.0 < t < math.inf
+    if not valid:
+        raise ValueError(f"log_gamma requires a float or 1-D array of finite x > 0, got {x}")
+    # Elements at or above 0.5 add 0 and subtract 0 * ln x, exactly.
+    small = t < 0.5
+    z = (t + small) - 1.0
     acc = _LANCZOS[0]
     for i in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[i] / (z + i)
-    t = z + 7.5
-    return 0.5 * math.log(2.0 * math.pi) + (z + 0.5) * math.log(t) - t + math.log(acc)
+        acc = acc + _LANCZOS[i] / (z + i)
+    u = z + 7.5
+    with np.errstate(over="ignore"):  # ln Gamma(x) is inf above x ~ 2.5e305
+        out = _HALF_LN_2PI + (z + 0.5) * np.log(u) - u + np.log(acc) - small * np.log(t)
+    return out if isinstance(x, np.ndarray) else float(out)
 
 
-def _log_beta_norm(a: float, b: float) -> tuple[float, float]:
+def _log_beta_norm(a: float | np.ndarray, b: float | np.ndarray) -> tuple:
     """log B(a, b) and log(1 / B(a, b)), the incomplete beta's normaliser,
-    from one log_gamma each of a, b and a + b."""
+    for floats a and b or 1-D arrays of one shape, from one log_gamma each
+    of a, b and a + b."""
     ln_a, ln_b, ln_ab = log_gamma(a), log_gamma(b), log_gamma(a + b)
     return ln_a + ln_b - ln_ab, ln_ab - ln_a - ln_b
 
@@ -130,14 +146,16 @@ def _log_beta_norm(a: float, b: float) -> tuple[float, float]:
 def sphere_area(d: int) -> float:
     """Surface area of the unit d-sphere, 2 pi^((d+1)/2) / Gamma((d+1)/2).
 
-    The d = 0 sphere is the two-point set, area 2.
+    The d = 0 sphere is the two-point set, area 2.  Equal bit for bit to
+    np.exp(_log_sphere_area(ds)) at d, the table of an int array ds.
     """
     _check_int("dimension", d, 0)
-    return math.exp(_log_sphere_area(d))
+    return float(np.exp(_log_sphere_area(d)))
 
 
-def _log_sphere_area(d: int) -> float:
-    """log |S^d|, finite where |S^d| itself underflows (d above about 400)."""
+def _log_sphere_area(d: int | np.ndarray) -> float | np.ndarray:
+    """log |S^d| for an int or a 1-D int array, finite where |S^d| itself
+    underflows (d above about 400)."""
     half = 0.5 * (d + 1)
     return _LN_2 + half * _LN_PI - log_gamma(half)
 
@@ -218,7 +236,7 @@ def _betacf_vec(a, b, x: np.ndarray) -> np.ndarray:
     for bit; small batches therefore loop over the scalar call."""
     x = np.asarray(x, dtype=float)
     if x.size < _CF_LOOP_BELOW:
-        args = (np.broadcast_to(v, x.shape).ravel().tolist() for v in (a, b, x))
+        args = (v.ravel().tolist() if np.ndim(v) else [float(v)] * x.size for v in (a, b, x))
         return np.array(list(map(_betacf, *args))).reshape(x.shape)
     qab = a + b
     qap = a + 1.0
@@ -310,49 +328,106 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 
 
-def _gl_panel(n1: int, n2: int, a: float, b: float) -> float:
-    """Fixed-order Gauss-Legendre estimate of the integral over [a, b]."""
+def _cossin_args(n1, n2, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The exponents and radii of integrals of cos^n1 sin^n2 over [0, r],
+    checked: ints and a float, or int and float arrays of one shape, with
+    n1, n2 >= 0 and r in [0, pi/2].  Returned as arrays, of shape (1,) for
+    a scalar call."""
+    if not isinstance(r, np.ndarray):
+        _check_int("n1", n1, 0)
+        _check_int("n2", n2, 0)
+        r = float(r)
+        if not (0.0 <= r <= _HALF_PI):
+            raise ValueError(f"radius must lie in [0, pi/2], got {r}")
+        return np.array([n1]), np.array([n2]), np.array([r])
+    n1, n2, r = np.asarray(n1), np.asarray(n2), np.asarray(r, dtype=float)
+    ints = all(np.issubdtype(n.dtype, np.integer) for n in (n1, n2))
+    if not (ints and n1.shape == n2.shape == r.shape and (n1 >= 0).all() and (n2 >= 0).all()):
+        raise ValueError("n1 and n2 must be integer arrays >= 0 of the shape of r")
+    outside = ~((0.0 <= r) & (r <= _HALF_PI))
+    if outside.any():
+        raise ValueError(f"radius must lie in [0, pi/2], got {r[outside][0]}")
+    return n1, n2, r
+
+
+def _int_power(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """x**e per element for ints e >= 0 broadcasting against x, by repeated
+    squaring.  Products round the same whatever shares the array; np.power
+    does not, since its SIMD and strided loops round differently (x86-64
+    with AVX-512, numpy 2.4)."""
+    out = np.ones_like(x)
+    while e.any():
+        out = np.where(e & 1, out * x, out)
+        e = e >> 1
+        x = x * x
+    return out
+
+
+def _gl_panels(n1: np.ndarray, n2: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Fixed-order Gauss-Legendre estimates of the integral of
+    cos^n1 sin^n2 over [a, b], per element: one row per node, summed row by
+    row, so each estimate depends only on its own panel."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    t = mid + half * _GL_NODES
-    vals = np.cos(t) ** n1 * np.sin(t) ** n2
-    return half * float(np.dot(_GL_WEIGHTS, vals))
+    t = mid + half * _GL_NODES[:, None]
+    vals = _GL_WEIGHTS[:, None] * (_int_power(np.cos(t), n1) * _int_power(np.sin(t), n2))
+    return half * sum(vals)
 
 
-def _refine(n1: int, n2: int, a: float, b: float, whole: float, tol: float, depth: int) -> float:
-    mid = 0.5 * (a + b)
-    left = _gl_panel(n1, n2, a, mid)
-    right = _gl_panel(n1, n2, mid, b)
-    better = left + right
-    if abs(better - whole) <= max(tol, _QUAD_REL_TOL * abs(better)):
-        return better
-    if depth >= _QUAD_MAX_DEPTH:
-        raise QuadratureError(
-            f"panel [{a}, {b}] did not converge at depth {depth} "
-            f"(estimate change {abs(better - whole):.3e})"
-        )
-    half_tol = 0.5 * tol
-    return _refine(n1, n2, a, mid, left, half_tol, depth + 1) + _refine(
-        n1, n2, mid, b, right, half_tol, depth + 1
-    )
-
-
-def cossin_integral(n1: int, n2: int, r: float) -> float:
+def cossin_integral(
+    n1: int | np.ndarray, n2: int | np.ndarray, r: float | np.ndarray
+) -> float | np.ndarray:
     """Integral of cos^n1(t) sin^n2(t) over [0, r] by adaptive quadrature.
 
-    Requires integer n1, n2 >= 0 and 0 <= r <= pi/2.  Raises
-    QuadratureError if the bisection depth budget is exhausted before the
-    requested tolerance is met.
+    Takes ints n1, n2 >= 0 and 0 <= r <= pi/2, or int and float arrays of
+    one shape, one integral per element.  All integrals are refined
+    together, level by level: each level evaluates both halves of every
+    open panel in one pass, accepts a panel once its halves change its
+    estimate by at most its share of _QUAD_ABS_TOL (halved per level) or
+    _QUAD_REL_TOL relative, and splits the rest.  Each integral is the sum
+    of its accepted panels, added level by level and left to right, so a
+    scalar call, the batch on one element, equals the matching element of
+    any batch bit for bit.  Raises QuadratureError if a panel is still
+    open at depth _QUAD_MAX_DEPTH.
     """
-    _check_int("n1", n1, 0)
-    _check_int("n2", n2, 0)
-    r = float(r)
-    if not (0.0 <= r <= _HALF_PI):
-        raise ValueError(f"radius must lie in [0, pi/2], got {r}")
-    if r == 0.0:
-        return 0.0
-    whole = _gl_panel(n1, n2, 0.0, r)
-    return _refine(n1, n2, 0.0, r, whole, _QUAD_ABS_TOL, 1)
+    scalar = not isinstance(r, np.ndarray)
+    n1, n2, r = _cossin_args(n1, n2, r)
+    shape = r.shape
+    n1, n2, r = n1.ravel(), n2.ravel(), r.ravel()
+    out = np.zeros(r.size)
+    # Open panels: the integral each belongs to, its ends and its estimate.
+    owner = np.arange(r.size)
+    a = np.zeros(r.size)
+    b = r
+    whole = _gl_panels(n1, n2, a, b)
+    tol = _QUAD_ABS_TOL
+    depth = 1
+    while True:
+        # Both halves of every open panel in one pass, the left ones first.
+        mid = 0.5 * (a + b)
+        ends = np.concatenate([a, mid]), np.concatenate([mid, b])
+        left, right = np.split(_gl_panels(np.tile(n1[owner], 2), np.tile(n2[owner], 2), *ends), 2)
+        better = left + right
+        change = np.abs(better - whole)
+        done = change <= np.maximum(tol, _QUAD_REL_TOL * np.abs(better))
+        np.add.at(out, owner[done], better[done])
+        if done.all():
+            return float(out[0]) if scalar else out.reshape(shape)
+        if depth >= _QUAD_MAX_DEPTH:
+            i = np.flatnonzero(~done)[0]
+            k = owner[i]
+            raise QuadratureError(
+                f"cossin_integral({n1[k]}, {n2[k]}, {r[k]}): panel [{a[i]}, {b[i]}] did not "
+                f"converge at depth {depth} (estimate change {change[i]:.3e})"
+            )
+        # Each open panel becomes its left then its right half.
+        keep = ~done
+        owner = np.repeat(owner[keep], 2)
+        a, mid, b = a[keep], mid[keep], b[keep]
+        a, b = np.column_stack((a, mid)).ravel(), np.column_stack((mid, b)).ravel()
+        whole = np.column_stack((left[keep], right[keep])).ravel()
+        tol *= 0.5
+        depth += 1
 
 
 def cossin_integral_closed(
@@ -363,27 +438,17 @@ def cossin_integral_closed(
         (1/2) B((n2+1)/2, (n1+1)/2) * I_{sin^2 r}((n2+1)/2, (n1+1)/2).
 
     Takes ints and a float, or int and float arrays of one shape, one
-    integral per element, in one incomplete-beta call with one log-beta per
-    distinct (n1, n2); a scalar call is that kernel on one element, so it
+    integral per element, in one log-beta pass and one incomplete-beta
+    call.  A scalar call runs the same steps on floats a and b, so it
     equals the matching element of any batch bit for bit.
     """
     scalar = not isinstance(r, np.ndarray)
-    if scalar:
-        _check_int("n1", n1, 0)
-        _check_int("n2", n2, 0)
-    n1, n2, r = np.atleast_1d(n1), np.atleast_1d(n2), np.atleast_1d(np.asarray(r, dtype=float))
-    ints = all(np.issubdtype(n.dtype, np.integer) for n in (n1, n2))
-    if not (ints and n1.shape == n2.shape == r.shape and (n1 >= 0).all() and (n2 >= 0).all()):
-        raise ValueError("n1 and n2 must be integer arrays >= 0 of the shape of r")
-    outside = ~((0.0 <= r) & (r <= _HALF_PI))
-    if outside.any():
-        raise ValueError(f"radius must lie in [0, pi/2], got {r[outside][0]}")
-    pairs, inverse = np.unique(np.stack([n1.ravel(), n2.ravel()]), axis=1, return_inverse=True)
-    norms = [_log_beta_norm(0.5 * (m2 + 1), 0.5 * (m1 + 1)) for m1, m2 in pairs.T.tolist()]
-    inverse = inverse.ravel()
-    front = np.array([0.5 * math.exp(log_b) for log_b, _ in norms])[inverse]
-    ln_norm = np.array([ln for _, ln in norms])[inverse]
-    s, c = np.sin(r.ravel()), np.cos(r.ravel())
+    n1, n2, r = _cossin_args(n1, n2, r)
+    shape = r.shape
     a, b = 0.5 * (n2.ravel() + 1), 0.5 * (n1.ravel() + 1)
-    out = front * _betainc_xc_vec(s * s, c * c, a, b, ln_norm)
-    return float(out[0]) if scalar else out.reshape(r.shape)
+    if scalar:
+        a, b = float(a[0]), float(b[0])
+    log_b, ln_norm = _log_beta_norm(a, b)
+    s, c = np.sin(r.ravel()), np.cos(r.ravel())
+    out = 0.5 * np.exp(log_b) * _betainc_xc_vec(s * s, c * c, a, b, ln_norm)
+    return float(out[0]) if scalar else out.reshape(shape)

@@ -4,8 +4,9 @@ Each check returns a CheckResult with a human-readable detail string; the
 CLI verify command runs them all and conjoins the verdicts.  Tolerances
 live in DEFAULT_TOLERANCES and can be overridden by name.  The inputs are
 fixed grids or seeded draws, and each sweep over them is one batched pass:
-the closed-form integrals in one call, the random shapes per (n1, n2) with
-array latitudes, and the convexity grids of every n in one formula pass.
+the quadrature and the closed form of the integrals in one call each, the
+random shapes per (n1, n2) with array latitudes, and the area chains and
+convexity grids of every n in one formula pass each.
 """
 
 from __future__ import annotations
@@ -190,10 +191,10 @@ def check_specfn(overrides: dict[str, float] | None = None) -> CheckResult:
     area_tol = _tol(overrides, "sphere_area")
     grid = np.meshgrid(np.arange(11), np.arange(11), (0.1, 0.5, 1.0, 1.5), indexing="ij")
     n1, n2, r = (g.ravel() for g in grid)
-    # The adaptive quadrature, the independent side, stays one scalar call
-    # per point; the closed form is one batched call.
-    args = zip(n1.tolist(), n2.tolist(), r.tolist())
-    quad = np.array([specfn.cossin_integral(*a) for a in args])
+    # One batched call per side: the adaptive quadrature, the independent
+    # side, refines every point's panels level by level, and the closed
+    # form runs one incomplete-beta call.
+    quad = specfn.cossin_integral(n1, n2, r)
     closed = specfn.cossin_integral_closed(n1, n2, r)
     worst = float(np.max(np.abs(quad - closed) / np.maximum(np.abs(closed), 1e-300)))
     if worst > agree_tol:

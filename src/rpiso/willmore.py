@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import CliffordShape, _mean_curvature
-from .specfn import _check_int, _log_sphere_area, log_gamma, sphere_area, trigamma
+from .specfn import _check_int, _log_sphere_area, log_gamma, trigamma
 
 __all__ = [
     "WillmoreReport",
@@ -93,9 +93,10 @@ def _energy(log_areas, n1, n2, cos_r, sin_r):
         return np.exp(log_energy)
 
 
-def clifford_area_f(n: int, x: float) -> float:
+def clifford_area_f(n: int, x: float | np.ndarray) -> float | np.ndarray:
     """Area of the minimal Clifford shape with factor dimensions continued
-    to real x in (0, n):
+    to real x, a float or a 1-D array in (0, n), equal bit for bit to the
+    scalar calls:
 
         f(x) = |S^x| |S^(n-x)| (x/n)^(x/2) ((n-x)/n)^((n-x)/2),
 
@@ -104,19 +105,26 @@ def clifford_area_f(n: int, x: float) -> float:
     doubled equatorial sphere area 2 |S^n|.
     """
     _check_int("n", n, 2, _MAX_N)
-    x = float(x)
-    if not (0.0 < x < n):
-        raise ValueError(f"x must lie in (0, {n}), got {x}")
+    x = np.array(x, dtype=float) if isinstance(x, np.ndarray) else float(x)
+    if not (np.ndim(x) <= 1 and np.all((0.0 < x) & (x < n))):
+        raise ValueError(f"x must be a float or 1-D array in (0, {n}), got {x}")
+    f = _area_f(n, x)
+    return f if isinstance(x, np.ndarray) else float(f)
+
+
+def _area_f(n, x):
+    """The formula of clifford_area_f, unchecked; n is an int, or an int
+    array the shape of x with one dimension per element."""
     y = n - x
     ln = (
         2.0 * _LN_2
         + 0.5 * (n + 2) * _LN_PI
         - log_gamma(0.5 * (x + 1.0))
         - log_gamma(0.5 * (y + 1.0))
-        + 0.5 * x * math.log(x / n)
-        + 0.5 * y * math.log(y / n)
+        + 0.5 * x * np.log(x / n)
+        + 0.5 * y * np.log(y / n)
     )
-    return math.exp(ln)
+    return np.exp(ln)
 
 
 def logf_second_derivative(n: int, x: float | np.ndarray) -> float | np.ndarray:
@@ -154,11 +162,17 @@ def width_candidate(n: int) -> float:
     return clifford_area_f(n, float(n // 2))
 
 
-def _chain_holds(n: int) -> bool:
-    """2 |S^n| > f(p) >= sigma_n for every integer p in [1, n - 1]."""
-    bound = 2.0 * sphere_area(n)
-    lowest = width_candidate(n) * (1.0 - _CHAIN_SLACK)
-    return all(lowest <= clifford_area_f(n, float(p)) < bound for p in range(1, n))
+def _chain_holds(ns: np.ndarray) -> np.ndarray:
+    """2 |S^n| > f(p) >= sigma_n for every integer p in [1, n - 1], per n of
+    a 1-D int array: the areas of every n in one pass of the formula."""
+    row, col = np.nonzero(np.arange(1, ns.max()) < ns[:, None])  # p = col + 1
+    areas = _area_f(ns[row], col + 1.0)
+    lowest = _area_f(ns, (ns // 2).astype(float)) * (1.0 - _CHAIN_SLACK)
+    bound = 2.0 * np.exp(_log_sphere_area(ns))
+    fails = ~((lowest[row] <= areas) & (areas < bound[row]))
+    holds = np.ones(ns.size, dtype=bool)
+    holds[row[fails]] = False
+    return holds
 
 
 def _convexity_holds(ns: np.ndarray) -> np.ndarray:
@@ -180,7 +194,7 @@ def verify_area_chain(n: int | np.ndarray) -> bool | np.ndarray:
     dims = ns.tolist()
     for m in dims:
         _check_int("n", m, 2, _MAX_N)
-    ok = np.array([_chain_holds(m) for m in dims], dtype=bool) & _convexity_holds(ns)
+    ok = _chain_holds(ns) & _convexity_holds(ns)
     return ok if isinstance(n, np.ndarray) else bool(ok[0])
 
 
@@ -198,7 +212,7 @@ def energy_minimum(n: int, r_samples: int = 10_000) -> tuple[float, int, float]:
     r = _HALF_PI * (np.arange(1, r_samples + 1) / (r_samples + 1))
     # One row per family k, each element as tube_willmore_energy computes it.
     k = np.arange(n + 1)[:, None]
-    log_area = np.array([_log_sphere_area(d) for d in range(n + 1)])
+    log_area = _log_sphere_area(np.arange(n + 1))
     energy = _energy(log_area[k] + log_area[n - k], k, n - k, np.cos(r), np.sin(r))
     k, j = np.unravel_index(np.argmin(energy), energy.shape)
     return float(energy[k, j]), int(k), float(r[j])
@@ -213,6 +227,6 @@ def willmore_report(n: int, r_samples: int = 10_000) -> WillmoreReport:
         min_energy=energy,
         argmin_k=k,
         argmin_r=r,
-        chain_ok=_chain_holds(n),
+        chain_ok=bool(_chain_holds(np.array([n]))[0]),
         convexity_ok=bool(_convexity_holds(np.array([n]))[0]),
     )

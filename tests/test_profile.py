@@ -403,7 +403,7 @@ class TestUpperTail:
         n = dim - 1
         total = total_volume(dim)
         volumes = np.array(_upper_tail_volumes(total))
-        perims, _ = profile._tube_table(dim, volumes)
+        perims, _ = _tube_table(dim, volumes)
         for v, perim in zip(volumes.tolist(), perims[n].tolist()):
             ref = _mp_top_family_perimeter(n, (total - v) / total)
             assert abs(perim - ref) <= 1e-13 * ref, (v, perim, ref)
@@ -418,9 +418,20 @@ class TestUpperTail:
         assert point.best_r <= HALF_PI
 
 
+def _tube_table(dim: int, volumes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(perimeter, radius) arrays of shape (n + 1, volumes.size) for volumes
+    in RP^dim: row k holds tube family k at each volume, every family solved
+    at every volume."""
+    n = dim - 1
+    y, upper = profile._split(np.asarray(volumes, dtype=float), total_volume(dim))
+    k = np.repeat(np.arange(n + 1), y.size)
+    perims, radii, _ = profile._tubes(n, k, np.tile(y, n + 1), np.tile(upper, n + 1))
+    return perims.reshape(n + 1, y.size), radii.reshape(n + 1, y.size)
+
+
 def _full_argmin(dim: int, volumes: np.ndarray):
     """(best_k, perimeter, radius) from every family solved at every volume."""
-    perims, radii = profile._tube_table(dim, volumes)
+    perims, radii = _tube_table(dim, volumes)
     best = np.argmin(perims, axis=0)
     cols = np.arange(volumes.size)
     return best, perims[best, cols], radii[best, cols]
@@ -503,14 +514,16 @@ class TestPrunedEnvelope:
     )
     def test_grids_equal_full_argmin(self, dim, samples):
         volumes = profile._volume_grid(total_volume(dim), samples)
-        for got, want in zip(profile._envelope(dim, volumes), _full_argmin(dim, volumes)):
+        envelope = profile._envelope(dim, volumes, total_volume(dim))
+        for got, want in zip(envelope, _full_argmin(dim, volumes)):
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("dim", [3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 40])
     def test_handoff_volumes_equal_full_argmin(self, dim):
         # At a handoff two families tie to rounding: both must be solved.
         volumes = np.array([v for _, _, v in transition_volumes(dim)])
-        for got, want in zip(profile._envelope(dim, volumes), _full_argmin(dim, volumes)):
+        envelope = profile._envelope(dim, volumes, total_volume(dim))
+        for got, want in zip(envelope, _full_argmin(dim, volumes)):
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("dim,samples", [(10, 2000), (40, 2501)])
@@ -755,8 +768,8 @@ class TestTransitions:
     def test_raises_when_a_third_family_lies_below_a_handoff(self, monkeypatch):
         envelope = profile._envelope
 
-        def lowered(dim, volumes):
-            best, perims, radii = envelope(dim, volumes)
+        def lowered(dim, volumes, total):
+            best, perims, radii = envelope(dim, volumes, total)
             best[-1] = 0  # family 0 below the last handoff, k = n - 1
             return best, perims, radii
 

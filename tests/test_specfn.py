@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -67,6 +68,12 @@ class TestSphereArea:
         with pytest.raises(ValueError):
             sphere_area(2.0)
 
+    def test_array_table_equals_scalar_calls(self):
+        # The table clifford's array areas and energy_minimum read.
+        ds = np.arange(438)
+        table = np.exp(specfn._log_sphere_area(ds))
+        assert [v.hex() for v in table.tolist()] == [sphere_area(d).hex() for d in ds.tolist()]
+
 
 class TestLogGamma:
     def test_known_values(self):
@@ -105,6 +112,43 @@ class TestLogGamma:
     def test_rejects_non_finite(self, x):
         with pytest.raises(ValueError):
             log_gamma(x)
+
+    @staticmethod
+    def _seeded_arguments() -> np.ndarray:
+        return 10.0 ** np.random.default_rng(16).uniform(-300.0, 3.0, 1500)
+
+    def test_array_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        xs = self._seeded_arguments()
+        vals = log_gamma(xs)
+        refs = [float(mpmath.loggamma(mpmath.mpf(x))) for x in xs.tolist()]
+        for x, val, ref in zip(xs.tolist(), vals.tolist(), refs):
+            assert abs(val - ref) <= 1e-13 * max(1.0, abs(ref)), (x, val, ref)
+
+    def test_array_equals_scalar_calls(self):
+        # Shifted and unshifted elements, the shift boundary, the zeros of
+        # ln Gamma, the smallest doubles and one whose ln Gamma overflows.
+        xs = np.concatenate(
+            [
+                self._seeded_arguments(),
+                [5e-324, 1e-300, np.nextafter(0.5, 0.0), 0.5, 1.0, 2.0, 1e3, 1e307],
+            ]
+        )
+        vals = log_gamma(xs)
+        assert isinstance(vals, np.ndarray) and vals.shape == xs.shape
+        singles = [log_gamma(x) for x in xs.tolist()]
+        assert all(type(v) is float for v in singles)
+        assert [v.hex() for v in vals.tolist()] == [v.hex() for v in singles]
+        assert vals[-1] == math.inf
+
+    @pytest.mark.parametrize(
+        "xs",
+        [[1.0, 0.0], [2.0, -1.5], [1.0, math.nan], [1.0, math.inf], [[1.0, 2.0], [3.0, 4.0]]],
+        ids=["zero", "negative", "nan", "inf", "2-D"],
+    )
+    def test_array_rejects_bad_element_or_shape(self, xs):
+        with pytest.raises(ValueError, match="1-D array of finite x > 0"):
+            log_gamma(np.array(xs))
 
 
 class TestTrigamma:
@@ -237,7 +281,7 @@ class TestRegIncBeta:
                 a, b = 0.5 * (n - k + 1), 0.5 * (k + 1)
                 batched = _betainc_xc_vec(x, xc, a, b)
                 reflected = _betainc_xc_vec(x, 1.0 - x, a, b)
-                front = 0.5 * math.exp(_log_beta_norm(a, b)[0])
+                front = 0.5 * np.exp(_log_beta_norm(a, b)[0])
                 fam = TubeFamily(dim, k)
                 for i, r in enumerate(rs.tolist()):
                     assert _betainc_xc_vec(x[i : i + 1], xc[i : i + 1], a, b)[0] == batched[i]
@@ -256,6 +300,25 @@ class TestRegIncBeta:
         assert 1.0 - x == 1.0
         assert reg_inc_beta(1.0 - x, 1.0, 0.25) == 1.0
         assert reg_inc_beta(x, 0.25, 1.0) == pytest.approx(x**0.25, rel=1e-12)
+
+
+def recursive_cossin_integral(n1: int, n2: int, r: float) -> float:
+    """Reference: the depth-first adaptive Gauss-Legendre quadrature, one
+    scalar panel at a time, each split summed as left + right."""
+
+    def panel(a: float, b: float) -> float:
+        t = 0.5 * (a + b) + 0.5 * (b - a) * specfn._GL_NODES
+        vals = np.cos(t) ** n1 * np.sin(t) ** n2
+        return 0.5 * (b - a) * float(np.dot(specfn._GL_WEIGHTS, vals))
+
+    def refine(a: float, b: float, whole: float, tol: float) -> float:
+        mid = 0.5 * (a + b)
+        left, right = panel(a, mid), panel(mid, b)
+        if abs(left + right - whole) <= max(tol, specfn._QUAD_REL_TOL * abs(left + right)):
+            return left + right
+        return refine(a, mid, left, 0.5 * tol) + refine(mid, b, right, 0.5 * tol)
+
+    return refine(0.0, r, panel(0.0, r), specfn._QUAD_ABS_TOL)
 
 
 class TestCossinIntegral:
@@ -277,20 +340,83 @@ class TestCossinIntegral:
                     closed = cossin_integral_closed(n1, n2, r)
                     assert quad == pytest.approx(closed, rel=1e-10, abs=1e-300)
 
-    def test_closed_form_array_equals_scalar_calls(self):
-        # The 484-point grid of rpiso verify, plus both ends of the arc.
+    @staticmethod
+    def _verify_grid() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The 484 (n1, n2, r) points of rpiso verify."""
         grid = np.meshgrid(np.arange(11), np.arange(11), (0.1, 0.5, 1.0, 1.5), indexing="ij")
-        for n1, n2, r in [(g.ravel() for g in grid), ([0, 3, 7], [5, 0, 7], [0.0, HALF_PI, HALF_PI])]:
+        n1, n2, r = (g.ravel() for g in grid)
+        return n1, n2, r
+
+    def _assert_array_equals_scalar_calls(self, integral):
+        # The verify grid, both ends of the arc, and a 2-D batch.
+        for n1, n2, r in [self._verify_grid(), ([0, 3, 7], [5, 0, 7], [0.0, HALF_PI, HALF_PI])]:
             n1, n2, r = np.asarray(n1), np.asarray(n2), np.asarray(r, dtype=float)
-            whole = cossin_integral_closed(n1, n2, r)
+            whole = integral(n1, n2, r)
             assert isinstance(whole, np.ndarray) and whole.shape == r.shape
-            singles = [
-                cossin_integral_closed(*args) for args in zip(n1.tolist(), n2.tolist(), r.tolist())
-            ]
+            singles = [integral(*args) for args in zip(n1.tolist(), n2.tolist(), r.tolist())]
             assert all(type(v) is float for v in singles)
             assert [v.hex() for v in whole.tolist()] == [v.hex() for v in singles]
-        square = cossin_integral_closed(np.eye(2, dtype=int), np.ones((2, 2), dtype=int), np.full((2, 2), 0.5))
-        assert square.shape == (2, 2) and square[0, 1] == cossin_integral_closed(0, 1, 0.5)
+        eye, ones = np.eye(2, dtype=int), np.ones((2, 2), dtype=int)
+        square = integral(eye, ones, np.full((2, 2), 0.5))
+        assert square.shape == (2, 2) and square[0, 1] == integral(0, 1, 0.5)
+
+    def test_array_equals_scalar_calls(self):
+        self._assert_array_equals_scalar_calls(cossin_integral)
+
+    def test_panel_estimates_do_not_depend_on_the_batch(self):
+        # A panel alone, as the first panel of a scalar call is evaluated,
+        # gives the double it gives among others.
+        rng = np.random.default_rng(16)
+        n1, n2 = rng.integers(0, 31, 400), rng.integers(0, 31, 400)
+        a = rng.uniform(0.0, 1.0, 400)
+        b = a + rng.uniform(0.0, HALF_PI - 1.0, 400)
+        whole = specfn._gl_panels(n1, n2, a, b)
+        alone = [
+            specfn._gl_panels(n1[i : i + 1], n2[i : i + 1], a[i : i + 1], b[i : i + 1])[0]
+            for i in range(400)
+        ]
+        assert whole.tolist() == alone
+
+    def test_array_against_recursive_reference(self):
+        # Level-wise sums and powers by squaring round differently from the
+        # depth-first reference: a few ulp, bounded here by 32 eps.
+        rng = np.random.default_rng(16)
+        n1, n2, r = self._verify_grid()
+        n1 = np.concatenate([n1, rng.integers(0, 31, 600)])
+        n2 = np.concatenate([n2, rng.integers(0, 31, 600)])
+        r = np.concatenate([r, rng.uniform(1e-3, HALF_PI, 600)])
+        quad = cossin_integral(n1, n2, r)
+        for a, b, t, val in zip(n1.tolist(), n2.tolist(), r.tolist(), quad.tolist()):
+            ref = recursive_cossin_integral(a, b, t)
+            assert abs(val - ref) <= 32 * sys.float_info.epsilon * abs(ref), (a, b, t, val, ref)
+
+    def test_array_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        n1, n2, r = self._verify_grid()
+        quad = cossin_integral(n1, n2, r)
+        with mpmath.workdps(20):
+            for a, b, t, val in zip(n1.tolist(), n2.tolist(), r.tolist(), quad.tolist()):
+                ref = mpmath.quad(
+                    lambda u: mpmath.cos(u) ** a * mpmath.sin(u) ** b, [0, t], method="gauss-legendre"
+                )
+                assert abs(val - float(ref)) <= 1e-13 * abs(ref), (a, b, t, val, ref)
+
+    @pytest.mark.parametrize(
+        "n1,n2,r,match",
+        [
+            ([1, 2], [1], [0.5, 0.5], "shape of r"),
+            ([1.0, 2.0], [1, 1], [0.5, 0.5], "integer arrays"),
+            ([1, -1], [1, 1], [0.5, 0.5], ">= 0"),
+            ([1, 1], [1, 1], [0.5, math.nan], r"got nan$"),
+        ],
+        ids=["shape", "float", "negative", "nan"],
+    )
+    def test_array_rejects_bad_arrays(self, n1, n2, r, match):
+        with pytest.raises(ValueError, match=match):
+            cossin_integral(np.array(n1), np.array(n2), np.array(r))
+
+    def test_closed_form_array_equals_scalar_calls(self):
+        self._assert_array_equals_scalar_calls(cossin_integral_closed)
 
     @pytest.mark.parametrize(
         "n1,n2,r,match",
@@ -329,9 +455,16 @@ class TestCossinIntegral:
             cossin_integral(0, 0, HALF_PI + 0.1)
 
     def test_depth_budget_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(specfn, "_QUAD_MAX_DEPTH", 1)
+        # At the default tolerances the first two converge at depth 1 and
+        # the last needs depth 2: the batch raises, naming that integral.
+        n1, n2, r = np.array([0, 3, 10]), np.array([0, 4, 10]), np.array([0.3, 0.7, 1.5])
+        for args in zip(n1[:2].tolist(), n2[:2].tolist(), r[:2].tolist()):
+            cossin_integral(*args)
+        with pytest.raises(QuadratureError, match=r"^cossin_integral\(10, 10, 1.5\): panel"):
+            cossin_integral(n1, n2, r)
         monkeypatch.setattr(specfn, "_QUAD_ABS_TOL", 1e-18)
         monkeypatch.setattr(specfn, "_QUAD_REL_TOL", 1e-18)
-        monkeypatch.setattr(specfn, "_QUAD_MAX_DEPTH", 1)
         with pytest.raises(QuadratureError):
             cossin_integral(10, 10, 1.5)
 

@@ -116,8 +116,8 @@ def reference_identities(count: int = 1000, seed: int = 20240817) -> tuple[Check
 
 
 def reference_specfn() -> tuple[CheckResult, float]:
-    """check_specfn with one scalar closed-form call per point: the result
-    and the quadrature agreement."""
+    """check_specfn with one scalar quadrature and one scalar closed-form
+    call per point: the result and the quadrature agreement."""
     area_tol = DEFAULT_TOLERANCES["sphere_area"]
     worst = 0.0
     for n1 in range(11):

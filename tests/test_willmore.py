@@ -113,6 +113,30 @@ class TestCliffordAreaF:
         with pytest.raises(ValueError):
             clifford_area_f(1, 0.5)
 
+    @pytest.mark.parametrize("n", [2, 3, 9, 50, 437])
+    def test_array_equals_scalar_calls(self, n):
+        xs = np.concatenate(
+            [
+                np.arange(1.0, n),
+                np.random.default_rng(n).uniform(0.0, n, 100),
+                [1e-300, n - 1e-13],
+            ]
+        )
+        vals = clifford_area_f(n, xs)
+        assert isinstance(vals, np.ndarray) and vals.shape == xs.shape
+        singles = [clifford_area_f(n, x) for x in xs.tolist()]
+        assert all(type(v) is float for v in singles)
+        assert [v.hex() for v in vals.tolist()] == [v.hex() for v in singles]
+
+    @pytest.mark.parametrize(
+        "xs",
+        [[1.0, 0.0], [1.0, 3.0], [1.0, -0.5], [1.0, math.nan], [[1.0, 2.0]]],
+        ids=["zero", "n", "negative", "nan", "2-D"],
+    )
+    def test_array_rejects_bad_element_or_shape(self, xs):
+        with pytest.raises(ValueError, match=r"float or 1-D array in \(0, 3\)"):
+            clifford_area_f(3, np.array(xs))
+
 
 class TestLogfSecondDerivative:
     def test_positive_on_dense_grids(self):
@@ -191,9 +215,31 @@ class TestAreaChain:
         assert verdicts.tolist() == [verify_area_chain(n) for n in ns.tolist()]
         # A chain that fails at one n fails only that element.
         real = willmore._chain_holds
-        monkeypatch.setattr(willmore, "_chain_holds", lambda n: n != 7 and real(n))
+        monkeypatch.setattr(willmore, "_chain_holds", lambda ns: (ns != 7) & real(ns))
         assert verify_area_chain(ns).tolist() == [n != 7 for n in ns.tolist()]
         assert verify_area_chain(7) is False
+
+    def test_every_dimension_equals_per_n_calls(self):
+        # Up to n = 437, where sigma_n is close to subnormal.
+        ns = np.arange(2, 438)
+        assert verify_area_chain(ns).tolist() == [verify_area_chain(n) for n in ns.tolist()]
+
+    def test_one_pass_chain_equals_per_n_scalar_chain(self, monkeypatch):
+        # The per-n chain of scalar calls, 2 |S^n| > f(p) >= sigma_n for
+        # p = 1..n-1, against the one pass; then an area raised above the
+        # bound at n = 9 only fails that n.
+        def per_n(n):
+            bound = 2.0 * sphere_area(n)
+            lowest = width_candidate(n) * (1.0 - 1e-12)
+            return all(lowest <= clifford_area_f(n, float(p)) < bound for p in range(1, n))
+
+        ns = np.arange(2, 60)
+        assert willmore._chain_holds(ns).tolist() == [per_n(n) for n in ns.tolist()]
+        real = willmore._area_f
+        monkeypatch.setattr(
+            willmore, "_area_f", lambda n, x: real(n, x) * np.where((n == 9) & (x == 3.0), 1e3, 1.0)
+        )
+        assert willmore._chain_holds(ns).tolist() == [n != 9 for n in ns.tolist()]
 
     def test_one_pass_convexity_grids_equal_per_n_grids(self):
         # The grids of every n, in one pass of the formula, hold the doubles
