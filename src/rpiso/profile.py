@@ -233,7 +233,7 @@ def _radii_for_fractions(
     family k: an int, or an int array with one family per element.  With
     the default total they are volume fractions."""
     y, upper = _split(np.asarray(v_frac, dtype=float), total)
-    t = _solve(n, k, y, upper)
+    t = _invert_lower_fraction(n, np.where(upper, n - k, k), y)
     return np.where(upper, _HALF_PI - t, t)
 
 
@@ -244,18 +244,6 @@ def _split(v: np.ndarray, total: float) -> tuple[np.ndarray, np.ndarray]:
     frac = v / total
     upper = frac > 0.5
     return np.where(upper, (total - v) / total, frac), upper
-
-
-def _solve(n: int, k: int | np.ndarray, y: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """Latitudes t of tube family k (an int or an int array) per element:
-    where upper is False, t = r solves I_{sin^2 r}((n - k + 1)/2, (k + 1)/2)
-    = y; where it is True, y is the complement fraction and t = s = pi/2 - r
-    solves the mirror family's I_{sin^2 s}((k + 1)/2, (n - k + 1)/2) = y, so
-    both tails keep their relative accuracy.  Either way element i inverts
-    the lower fraction of mirror family j = n - k or k, in one Halley loop;
-    each element is computed on its own, so results do not depend on what
-    else shares the batch."""
-    return _invert_lower_fraction(n, np.where(upper, n - k, k), y)
 
 
 @functools.lru_cache(maxsize=64)
@@ -330,7 +318,11 @@ def _invert_lower_fraction(n: int, row: np.ndarray, y: np.ndarray) -> np.ndarray
     """Latitudes t in (0, pi/2) with I_{sin^2 t}(p, q) = y, for y in (0, 1/2],
     where element i belongs to the mirror family j = row[i] of dimension n:
     p = (n - j + 1)/2 and q = (j + 1)/2, so 2p - 1 = n - j and 2q - 1 = j
-    exactly, and p + q = (n + 2)/2.
+    exactly, and p + q = (n + 2)/2.  Tube family k at a volume fraction up
+    to 1/2 is row j = k at y = that fraction, and t is its latitude r.
+    Above half it is the mirror row j = n - k at the complement fraction,
+    and t is s = pi/2 - r, which solves I_{sin^2 s}((k + 1)/2,
+    (n - k + 1)/2) = y: so both tails keep their relative accuracy.
 
     Bracketed Halley iteration (rtsafe, Numerical Recipes 9.4, with a
     third-order step) on f = log I_{sin^2 t}(p, q) - log y.  Its slope is
@@ -409,14 +401,15 @@ def _tubes(
     n: int, k: np.ndarray, y: np.ndarray, upper: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(perimeter, radius, mean curvature) in RP^(n+1) of tube family k[i]
-    at tail fraction y[i], as _solve takes them.  Above half volume family
-    k is evaluated through its mirror shape S^(n-k)(cos s) x S^k(sin s),
-    the same hypersurface at the solved latitude s = pi/2 - r: its area is
-    the tube's, and its mean curvature is the tube's negated.  Evaluating
+    at tail fraction y[i], as _split gives them.  Above half volume family
+    k is solved as its mirror row n - k (see _invert_lower_fraction) and
+    evaluated through its mirror shape S^(n-k)(cos s) x S^k(sin s), the
+    same hypersurface at the solved latitude s = pi/2 - r: its area is the
+    tube's, and its mean curvature is the tube's negated.  Evaluating
     cos r = sin s from r itself would cost the tube's area its relative
     accuracy as s shrinks, and r rounds to pi/2 where s is below ulp/2."""
-    t = _solve(n, k, y, upper)
     n1 = np.where(upper, n - k, k)
+    t = _invert_lower_fraction(n, n1, y)
     c = np.cos(t)
     s = np.sin(t)
     perimeter = 0.5 * _area(n1, n - n1, c, s)  # area_rp

@@ -1,16 +1,19 @@
 """Verification suite: every module invariant as a named, tolerated check.
 
 Each check returns a CheckResult with a human-readable detail string; the
-CLI verify command runs them all and conjoins the verdicts.  Tolerances
-live in DEFAULT_TOLERANCES and can be overridden by name.  The inputs are
-fixed grids or seeded draws, and each sweep over them is one batched pass:
-the quadrature and the closed form of the integrals in one call each, the
+CLI verify command runs them all and conjoins the verdicts.  Checks name
+themselves through _check, the one place a CheckResult is built.
+Tolerances live in DEFAULT_TOLERANCES and can be overridden by name.  Only
+the profile checks take sizes, which the CLI sets; the others run fixed
+grids or seeded draws.  Each sweep over them is one batched pass: the
+quadrature and the closed form of the integrals in one call each, the
 random shapes per (n1, n2) with array latitudes, and the area chains and
 convexity grids of every n in one formula pass each.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -47,26 +50,37 @@ def _tol(overrides: dict[str, float] | None, name: str) -> float:
     return DEFAULT_TOLERANCES[name]
 
 
-def check_successive(max_dim: int = 10, samples: int = 2000) -> CheckResult:
+def _check(name: str):
+    """Turn a check body returning (passed, detail) into a check returning
+    CheckResult(name, passed, detail); functools.wraps keeps the body's
+    __name__ and __module__."""
+
+    def decorate(body):
+        @functools.wraps(body)
+        def check(*args, **kwargs) -> CheckResult:
+            return CheckResult(name, *body(*args, **kwargs))
+
+        return check
+
+    return decorate
+
+
+@_check("successive_profiles")
+def check_successive(max_dim: int = 10, samples: int = 2000):
     """Successive handoff of tube families in every ambient dimension."""
     failures = []
     for dim in range(3, max_dim + 1):
         if not profile.successive_check(dim, samples):
             failures.append(dim)
     if failures:
-        return CheckResult(
-            "successive_profiles", False, f"failed for ambient dims {failures}"
-        )
-    return CheckResult(
-        "successive_profiles",
-        True,
-        f"argmin k nondecreasing and complete for dims 3..{max_dim}, {samples} samples",
-    )
+        return False, f"failed for ambient dims {failures}"
+    return True, f"argmin k nondecreasing and complete for dims 3..{max_dim}, {samples} samples"
 
 
+@_check("profile_arcs")
 def check_profile_arcs(
     dim: int = 7, samples: int = 2000, overrides: dict[str, float] | None = None
-) -> CheckResult:
+):
     """Arc count, transition count, and volume symmetry of one profile."""
     tol = _tol(overrides, "profile_symmetry")
     points = profile.profile_curve(dim, samples)
@@ -79,81 +93,65 @@ def check_profile_arcs(
         right = points[samples - 1 - i].perimeter
         worst = max(worst, abs(left - right) / max(left, right))
     ok = arcs == dim and len(crossings) == dim - 1 and worst <= tol
-    return CheckResult(
-        "profile_arcs",
-        ok,
+    return ok, (
         f"dim {dim}: {arcs} arcs (want {dim}), {len(crossings)} transitions "
-        f"(want {dim - 1}), symmetry defect {worst:.2e} (tol {tol:.0e})",
+        f"(want {dim - 1}), symmetry defect {worst:.2e} (tol {tol:.0e})"
     )
 
 
-def check_stability(
-    max_n: int = 9, radii: int = 1000, overrides: dict[str, float] | None = None
-) -> CheckResult:
+@_check("stability_equivalence")
+def check_stability(overrides: dict[str, float] | None = None):
     """Margin sign agrees with the closed-form latitude interval; the
     three-candidate eigenvalue minimum survives a brute-force search."""
     tol = _tol(overrides, "endpoint_margin")
-    rs = np.linspace(0.01, _HALF_PI - 0.01, radii)
+    rs = np.linspace(0.01, _HALF_PI - 0.01, 1000)
+    pairs = [(n1, n2) for n1 in range(1, 9) for n2 in range(1, 10 - n1)]
     even_modes = [
         (k1, k2)
         for k1 in range(7)
         for k2 in range(7)
         if k1 + k2 <= 6 and (k1 + k2) % 2 == 0 and k1 + k2 > 0
     ]
-    for n1 in range(1, max_n):
-        for n2 in range(1, max_n - n1 + 1):
-            lo, hi = spectrum.stability_interval(n1, n2)
-            ends = clifford.CliffordShape(n1, n2, np.array([lo, hi]))
-            for end, margin in zip((lo, hi), spectrum.stability_margin(ends)):
-                if abs(margin) > tol:
-                    return CheckResult(
-                        "stability_equivalence",
-                        False,
-                        f"({n1},{n2}) endpoint r={end}: margin {margin:.2e}",
-                    )
-            margins = spectrum.stability_margin(clifford.CliffordShape(n1, n2, rs))
-            inside = (lo <= rs) & (rs <= hi)
-            wrong = np.where(inside, margins < -tol, margins >= 0.0)
-            if wrong.any():
-                i = int(np.argmax(wrong))
-                sign, side = ("negative", "inside") if inside[i] else ("nonnegative", "outside")
-                return CheckResult(
-                    "stability_equivalence",
-                    False,
-                    f"({n1},{n2}) r={rs[i]}: {sign} margin {margins[i]:.2e} {side} interval",
-                )
-            # Brute force on a thinned grid: the three candidates must
-            # already attain the minimum over all low even modes.
-            thin = clifford.CliffordShape(n1, n2, rs[::25])
-            best = spectrum.first_even_eigenvalue(thin).value
-            brute = np.min(
-                [spectrum.laplace_eigenvalue(thin, k1, k2) for k1, k2 in even_modes],
-                axis=0,
+    for n1, n2 in pairs:
+        lo, hi = spectrum.stability_interval(n1, n2)
+        ends = clifford.CliffordShape(n1, n2, np.array([lo, hi]))
+        for end, margin in zip((lo, hi), spectrum.stability_margin(ends)):
+            if abs(margin) > tol:
+                return False, f"({n1},{n2}) endpoint r={end}: margin {margin:.2e}"
+        margins = spectrum.stability_margin(clifford.CliffordShape(n1, n2, rs))
+        inside = (lo <= rs) & (rs <= hi)
+        wrong = np.where(inside, margins < -tol, margins >= 0.0)
+        if wrong.any():
+            i = int(np.argmax(wrong))
+            sign, side = ("negative", "inside") if inside[i] else ("nonnegative", "outside")
+            return False, f"({n1},{n2}) r={rs[i]}: {sign} margin {margins[i]:.2e} {side} interval"
+        # Brute force on a thinned grid: the three candidates must
+        # already attain the minimum over all low even modes.
+        thin = clifford.CliffordShape(n1, n2, rs[::25])
+        best = spectrum.first_even_eigenvalue(thin).value
+        brute = np.min(
+            [spectrum.laplace_eigenvalue(thin, k1, k2) for k1, k2 in even_modes], axis=0
+        )
+        beaten = brute < best * (1.0 - 1e-14)
+        if beaten.any():
+            i = int(np.argmax(beaten))
+            return False, (
+                f"({n1},{n2}) r={thin.r[i]}: brute force {brute[i]} beats candidates {best[i]}"
             )
-            beaten = brute < best * (1.0 - 1e-14)
-            if beaten.any():
-                i = int(np.argmax(beaten))
-                return CheckResult(
-                    "stability_equivalence",
-                    False,
-                    f"({n1},{n2}) r={thin.r[i]}: brute force {brute[i]} beats candidates {best[i]}",
-                )
-    pairs = sum(1 for a in range(1, max_n) for _ in range(1, max_n - a + 1))
-    return CheckResult(
-        "stability_equivalence",
-        True,
-        f"sign agreement and candidate optimality over {pairs} factor pairs, {radii} radii",
+    return True, (
+        f"sign agreement and candidate optimality over {len(pairs)} factor pairs, "
+        f"{rs.size} radii"
     )
 
 
-def check_identities(
-    count: int = 1000, seed: int = 20240817, overrides: dict[str, float] | None = None
-) -> CheckResult:
+@_check("algebraic_identities")
+def check_identities(overrides: dict[str, float] | None = None):
     """Trace identity, per-curvature quadratic, and Jacobian transport on
-    random shapes, drawn one at a time and evaluated per (n1, n2) with
-    array latitudes."""
+    seeded random shapes, drawn one at a time and evaluated per (n1, n2)
+    with array latitudes."""
     tol = _tol(overrides, "identity")
-    rng = np.random.default_rng(seed)
+    count = 1000
+    rng = np.random.default_rng(20240817)
     groups: dict[tuple[int, int], list[tuple[float, float]]] = {}
     for _ in range(count):
         n1 = int(rng.integers(0, 7))
@@ -176,15 +174,13 @@ def check_identities(
         rhs = clifford.area_sphere(moved)
         residuals.append(np.abs(lhs - rhs) / rhs)
         worst = max(worst, float(np.max(residuals)))
-    ok = worst <= tol
-    return CheckResult(
-        "algebraic_identities",
-        ok,
-        f"worst identity residual {worst:.2e} over {count} random shapes (tol {tol:.0e})",
+    return worst <= tol, (
+        f"worst identity residual {worst:.2e} over {count} random shapes (tol {tol:.0e})"
     )
 
 
-def check_specfn(overrides: dict[str, float] | None = None) -> CheckResult:
+@_check("special_functions")
+def check_specfn(overrides: dict[str, float] | None = None):
     """Quadrature vs closed form, and sphere_area against known values and
     its Gamma recurrence."""
     agree_tol = _tol(overrides, "specfn_agree")
@@ -198,9 +194,7 @@ def check_specfn(overrides: dict[str, float] | None = None) -> CheckResult:
     closed = specfn.cossin_integral_closed(n1, n2, r)
     worst = float(np.max(np.abs(quad - closed) / np.maximum(np.abs(closed), 1e-300)))
     if worst > agree_tol:
-        return CheckResult(
-            "special_functions", False, f"quadrature mismatch {worst:.2e}"
-        )
+        return False, f"quadrature mismatch {worst:.2e}"
     known = [
         (1, 2.0 * math.pi),
         (2, 4.0 * math.pi),
@@ -209,65 +203,48 @@ def check_specfn(overrides: dict[str, float] | None = None) -> CheckResult:
     for d, expected in known:
         err = abs(specfn.sphere_area(d) - expected) / expected
         if err > area_tol:
-            return CheckResult(
-                "special_functions", False, f"sphere_area({d}) off by {err:.2e}"
-            )
+            return False, f"sphere_area({d}) off by {err:.2e}"
     rec_worst = 0.0
     for d in range(2, 61):
         lhs = specfn.sphere_area(d)
         rhs = 2.0 * math.pi * specfn.sphere_area(d - 2) / (d - 1)
         rec_worst = max(rec_worst, abs(lhs - rhs) / rhs)
-    ok = rec_worst <= area_tol
-    return CheckResult(
-        "special_functions",
-        ok,
-        f"quadrature agreement {worst:.2e}, recurrence defect {rec_worst:.2e}",
+    return rec_worst <= area_tol, (
+        f"quadrature agreement {worst:.2e}, recurrence defect {rec_worst:.2e}"
     )
 
 
-def check_willmore_minimum(
-    max_n: int = 9, r_samples: int = 10_000, overrides: dict[str, float] | None = None
-) -> CheckResult:
-    """Grid minimum of the tube Willmore energy matches the balanced
-    Clifford area; the degenerate family is constant."""
+@_check("willmore_minimum")
+def check_willmore_minimum(overrides: dict[str, float] | None = None):
+    """Grid minimum of the tube Willmore energy, on energy_minimum's
+    default latitude grid, matches the balanced Clifford area; the
+    degenerate family is constant."""
     tol = _tol(overrides, "willmore_min")
+    max_n = 9
     for n in range(2, max_n + 1):
-        energy, k, _ = willmore.energy_minimum(n, r_samples)
+        energy, k, _ = willmore.energy_minimum(n)
         target = willmore.width_candidate(n)
         err = abs(energy - target) / target
         if err > tol or k not in (n // 2, (n + 1) // 2):
-            return CheckResult(
-                "willmore_minimum",
-                False,
-                f"n={n}: min {energy} at k={k}, want {target} near balanced k",
-            )
+            return False, f"n={n}: min {energy} at k={k}, want {target} near balanced k"
         bound = 2.0 * specfn.sphere_area(n)
         rs = np.linspace(0.05, _HALF_PI - 0.05, 101)
         energies = willmore.tube_willmore_energy(clifford.CliffordShape(0, n, rs))
         const_err = float(np.max(np.abs(energies - bound) / bound))
         if const_err > 1e-10:
-            return CheckResult(
-                "willmore_minimum",
-                False,
-                f"n={n}: k=0 family drifts from 2|S^n| by {const_err:.2e}",
-            )
-    return CheckResult(
-        "willmore_minimum",
-        True,
-        f"energy minima match width candidate to {tol:.0e} for n=2..{max_n}",
-    )
+            return False, f"n={n}: k=0 family drifts from 2|S^n| by {const_err:.2e}"
+    return True, f"energy minima match width candidate to {tol:.0e} for n=2..{max_n}"
 
 
-def check_area_chain(
-    max_n: int = 50, overrides: dict[str, float] | None = None
-) -> CheckResult:
+@_check("area_chain")
+def check_area_chain(overrides: dict[str, float] | None = None):
     """Inequality chain, log-convexity, and the finite-difference probe of
     the second log derivative."""
     fd_tol = _tol(overrides, "logf_fd")
-    ns = np.arange(2, max_n + 1)
+    ns = np.arange(2, 51)
     holds = willmore.verify_area_chain(ns)
     if not holds.all():
-        return CheckResult("area_chain", False, f"chain fails at n={ns[np.argmin(holds)]}")
+        return False, f"chain fails at n={ns[np.argmin(holds)]}"
     # Probe where the second derivative is O(0.05) or larger; at a 1e-4
     # step the difference quotient's rounding floor is ~1e-6 absolute, so
     # smaller true values cannot be resolved to 1e-5 relative.
@@ -282,15 +259,13 @@ def check_area_chain(
             ) / (h * h)
             exact = willmore.logf_second_derivative(n, x)
             worst = max(worst, abs(fd - exact) / abs(exact))
-    ok = worst <= fd_tol
-    return CheckResult(
-        "area_chain",
-        ok,
-        f"chain and convexity hold for n=2..{max_n}; fd defect {worst:.2e} (tol {fd_tol:.0e})",
+    return worst <= fd_tol, (
+        f"chain and convexity hold for n=2..{ns[-1]}; fd defect {worst:.2e} (tol {fd_tol:.0e})"
     )
 
 
-def check_rp3(overrides: dict[str, float] | None = None) -> CheckResult:
+@_check("rp3_crosscheck")
+def check_rp3(overrides: dict[str, float] | None = None):
     """Classified RP^3 behavior: torus beats sphere at the half volume,
     spheres win at small volume."""
     tol = _tol(overrides, "rp3_perimeter")
@@ -310,12 +285,9 @@ def check_rp3(overrides: dict[str, float] | None = None) -> CheckResult:
     sphere_perimeter = 4.0 * math.pi * math.sin(0.5 * (lo + hi)) ** 2
     beats = point.perimeter < sphere_perimeter
     small = profile.profile_at(3, 0.02 * total)
-    ok = torus_ok and beats and small.best_k == 0
-    return CheckResult(
-        "rp3_crosscheck",
-        ok,
+    return torus_ok and beats and small.best_k == 0, (
         f"half volume: k={point.best_k} perimeter {point.perimeter:.12f} "
-        f"vs sphere {sphere_perimeter:.6f}; small volume k={small.best_k}",
+        f"vs sphere {sphere_perimeter:.6f}; small volume k={small.best_k}"
     )
 
 
@@ -329,14 +301,13 @@ def run_all(
         unknown = set(overrides) - set(DEFAULT_TOLERANCES)
         if unknown:
             raise ValueError(f"unknown tolerance overrides: {sorted(unknown)}")
-    arcs_dim = min(7, max_dim)
     return [
-        check_successive(max_dim=max_dim, samples=samples),
-        check_profile_arcs(dim=arcs_dim, samples=samples, overrides=overrides),
-        check_stability(overrides=overrides),
-        check_identities(overrides=overrides),
-        check_specfn(overrides=overrides),
-        check_willmore_minimum(overrides=overrides),
-        check_area_chain(overrides=overrides),
-        check_rp3(overrides=overrides),
+        check_successive(max_dim, samples),
+        check_profile_arcs(min(7, max_dim), samples, overrides),
+        check_stability(overrides),
+        check_identities(overrides),
+        check_specfn(overrides),
+        check_willmore_minimum(overrides),
+        check_area_chain(overrides),
+        check_rp3(overrides),
     ]

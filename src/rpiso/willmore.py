@@ -116,12 +116,14 @@ def _area_f(n, x):
     """The formula of clifford_area_f, unchecked; n is an int, or an int
     array the shape of x with one dimension per element."""
     y = n - x
+    # Where x / n underflows, x log(x / n) takes its limit 0, not 0 * -inf.
+    x_frac = x / n
     ln = (
         2.0 * _LN_2
         + 0.5 * (n + 2) * _LN_PI
         - log_gamma(0.5 * (x + 1.0))
         - log_gamma(0.5 * (y + 1.0))
-        + 0.5 * x * np.log(x / n)
+        + 0.5 * x * np.log(np.where(x_frac > 0.0, x_frac, 1.0))
         + 0.5 * y * np.log(y / n)
     )
     return np.exp(ln)
@@ -165,7 +167,7 @@ def width_candidate(n: int) -> float:
 def _chain_holds(ns: np.ndarray) -> np.ndarray:
     """2 |S^n| > f(p) >= sigma_n for every integer p in [1, n - 1], per n of
     a 1-D int array: the areas of every n in one pass of the formula."""
-    row, col = np.nonzero(np.arange(1, ns.max()) < ns[:, None])  # p = col + 1
+    row, col = np.nonzero(np.arange(1, ns.max(initial=0)) < ns[:, None])  # p = col + 1
     areas = _area_f(ns[row], col + 1.0)
     lowest = _area_f(ns, (ns // 2).astype(float)) * (1.0 - _CHAIN_SLACK)
     bound = 2.0 * np.exp(_log_sphere_area(ns))

@@ -291,20 +291,20 @@ class TestRadiusTails:
         profile._start_table.cache_clear()
         evaluated = solved = 0
         betainc = profile._betainc_xc_vec
-        solve = profile._solve
+        solve = profile._invert_lower_fraction
 
         def counting(x, *args, **kwargs):
             nonlocal evaluated
             evaluated += np.size(x)
             return betainc(x, *args, **kwargs)
 
-        def counting_solve(n, k, y, upper):
+        def counting_solve(n, row, y):
             nonlocal solved
             solved += np.size(y)
-            return solve(n, k, y, upper)
+            return solve(n, row, y)
 
         monkeypatch.setattr(profile, "_betainc_xc_vec", counting)
-        monkeypatch.setattr(profile, "_solve", counting_solve)
+        monkeypatch.setattr(profile, "_invert_lower_fraction", counting_solve)
         for dim in range(3, 17):
             profile_curve(dim, 2000)
         assert solved > 0
@@ -529,14 +529,14 @@ class TestPrunedEnvelope:
     @pytest.mark.parametrize("dim,samples", [(10, 2000), (40, 2501)])
     def test_solves_a_fraction_of_the_table(self, dim, samples, monkeypatch):
         solved = 0
-        solve = profile._solve
+        solve = profile._invert_lower_fraction
 
-        def counting_solve(n, k, y, upper):
+        def counting_solve(n, row, y):
             nonlocal solved
             solved += np.size(y)
-            return solve(n, k, y, upper)
+            return solve(n, row, y)
 
-        monkeypatch.setattr(profile, "_solve", counting_solve)
+        monkeypatch.setattr(profile, "_invert_lower_fraction", counting_solve)
         profile_curve(dim, samples)
         assert solved <= 0.25 * dim * samples
 

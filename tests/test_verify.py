@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from rpiso import cli, clifford, profile, spectrum, specfn, willmore
+from rpiso import cli, clifford, profile, spectrum, specfn, verify, willmore
 from rpiso.verify import (
     DEFAULT_TOLERANCES,
     CheckResult,
@@ -67,9 +67,16 @@ def test_every_default_tolerance_is_used():
     assert all(r.passed for r in results)
 
 
+def test_checks_keep_their_function_names():
+    # Tracers name spans by __module__ and __name__, through the decorator.
+    for check in (check_successive, check_stability, check_identities, check_rp3):
+        assert check.__module__ == "rpiso.verify"
+        assert getattr(verify, check.__name__) is check
+
+
 def test_identities_deterministic():
-    first = check_identities(count=200, seed=7)
-    second = check_identities(count=200, seed=7)
+    first = check_identities()
+    second = check_identities()
     assert first == second
     assert first.passed
 
@@ -89,11 +96,12 @@ def test_successive_detail_lists_dims():
 HALF_PI = 0.5 * math.pi
 
 
-def reference_identities(count: int = 1000, seed: int = 20240817) -> tuple[CheckResult, float]:
+def reference_identities() -> tuple[CheckResult, float]:
     """check_identities as one scalar shape per draw: the result and the
     worst residual."""
     tol = DEFAULT_TOLERANCES["identity"]
-    rng = np.random.default_rng(seed)
+    count = 1000
+    rng = np.random.default_rng(20240817)
     worst = 0.0
     for _ in range(count):
         n1 = int(rng.integers(0, 7))
@@ -138,10 +146,11 @@ def reference_specfn() -> tuple[CheckResult, float]:
     return CheckResult("special_functions", ok, detail), worst
 
 
-def reference_area_chain(max_n: int = 50) -> tuple[CheckResult, float]:
+def reference_area_chain() -> tuple[CheckResult, float]:
     """check_area_chain with one verify_area_chain call per n: the result
     and the finite-difference defect."""
     fd_tol = DEFAULT_TOLERANCES["logf_fd"]
+    max_n = 50
     for n in range(2, max_n + 1):
         if not willmore.verify_area_chain(n):
             return CheckResult("area_chain", False, f"chain fails at n={n}"), math.nan
@@ -163,23 +172,22 @@ def reference_area_chain(max_n: int = 50) -> tuple[CheckResult, float]:
 
 
 @pytest.mark.parametrize(
-    "check,reference,kwargs,tolerance",
+    "check,reference,tolerance",
     [
-        (check_identities, reference_identities, {}, "identity"),
-        (check_identities, reference_identities, {"count": 200, "seed": 7}, "identity"),
-        (check_specfn, reference_specfn, {}, "specfn_agree"),
-        (check_area_chain, reference_area_chain, {}, "logf_fd"),
+        (check_identities, reference_identities, "identity"),
+        (check_specfn, reference_specfn, "specfn_agree"),
+        (check_area_chain, reference_area_chain, "logf_fd"),
     ],
-    ids=["identities", "identities-200-7", "specfn", "area_chain"],
+    ids=["identities", "specfn", "area_chain"],
 )
-def test_batched_check_matches_scalar_reference(check, reference, kwargs, tolerance):
+def test_batched_check_matches_scalar_reference(check, reference, tolerance):
     # Same verdict and detail as the scalar loop; the tolerance bracket puts
     # the residual the check compares within 1e-15 of the reference's.
-    expected, residual = reference(**kwargs)
+    expected, residual = reference()
     assert expected.passed
-    assert check(**kwargs) == expected
-    assert check(**kwargs, overrides={tolerance: residual + 1e-15}).passed
-    assert not check(**kwargs, overrides={tolerance: residual - 1e-15}).passed
+    assert check() == expected
+    assert check(overrides={tolerance: residual + 1e-15}).passed
+    assert not check(overrides={tolerance: residual - 1e-15}).passed
 
 
 class TestFailurePaths:
@@ -202,7 +210,7 @@ class TestFailurePaths:
         monkeypatch.setattr(
             spectrum, "stability_interval", lambda n1, n2: tuple(r + 0.1 for r in real(n1, n2))
         )
-        result = check_stability(max_n=3, radii=100)
+        result = check_stability()
         assert not result.passed
         assert result.detail.startswith("(1,1) endpoint r=")
         assert "margin" in result.detail
@@ -216,7 +224,7 @@ class TestFailurePaths:
             "stability_margin",
             lambda shape: real(shape) if shape.r.size == 2 else real(shape) - 1.0,
         )
-        result = check_stability(max_n=3, radii=100)
+        result = check_stability()
         assert not result.passed
         assert result.detail.startswith("(1,1) r=")
         assert result.detail.endswith(": negative margin -1.00e+00 inside interval")
@@ -229,7 +237,7 @@ class TestFailurePaths:
             "laplace_eigenvalue",
             lambda shape, k1, k2: real(shape, k1, k2) * (0.0 if (k1, k2) == (2, 2) else 1.0),
         )
-        result = check_stability(max_n=3, radii=100)
+        result = check_stability()
         assert not result.passed
         assert result.detail.startswith("(1,1) r=")
         assert "brute force 0.0 beats candidates" in result.detail
@@ -254,7 +262,7 @@ class TestFailurePaths:
         assert "recurrence defect 1.0" in result.detail
 
     def test_willmore_minimum_off_target(self):
-        result = check_willmore_minimum(max_n=3, r_samples=1000, overrides={"willmore_min": 1e-300})
+        result = check_willmore_minimum(overrides={"willmore_min": 1e-300})
         assert not result.passed
         assert result.detail.startswith("n=2: min ")
         assert "near balanced k" in result.detail
@@ -266,18 +274,18 @@ class TestFailurePaths:
             "tube_willmore_energy",
             lambda shape: real(shape) * (1.0 + 1e-6 * (shape.n1 == 0)),
         )
-        result = check_willmore_minimum(max_n=2)
+        result = check_willmore_minimum()
         assert not result.passed
         assert result.detail.startswith("n=2: k=0 family drifts from 2|S^n| by 1.0")
 
     def test_area_chain_fails_at_n(self, monkeypatch):
         monkeypatch.setattr(willmore, "verify_area_chain", lambda n: n != 7)
-        result = check_area_chain(max_n=10)
+        result = check_area_chain()
         assert not result.passed
         assert result.detail == "chain fails at n=7"
 
     def test_area_chain_finite_difference(self):
-        result = check_area_chain(max_n=3, overrides={"logf_fd": 1e-300})
+        result = check_area_chain(overrides={"logf_fd": 1e-300})
         assert not result.passed
         assert "fd defect" in result.detail and "(tol 1e-300)" in result.detail
 

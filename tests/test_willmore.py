@@ -128,6 +128,20 @@ class TestCliffordAreaF:
         assert all(type(v) is float for v in singles)
         assert [v.hex() for v in vals.tolist()] == [v.hex() for v in singles]
 
+    @pytest.mark.parametrize("n", [2, 3, 437])
+    def test_subnormal_x_takes_the_edge_limit(self, n):
+        # x / n underflows to 0 there, and x log(x / n) takes its limit 0
+        # instead of 0 * -inf; the test configuration turns the divide
+        # warning into an error.  The value is the one at x = 1e-300, where
+        # nothing underflows; the log-space sum, of terms up to ~700 at
+        # n = 437, is within 1e-13 relative of the closed form.
+        edge = clifford_area_f(n, 1e-300)
+        assert edge == pytest.approx(2.0 * sphere_area(n), rel=1e-13, abs=0.0)
+        for x in (5e-324, 1e-323):
+            assert clifford_area_f(n, x) == edge
+            both = clifford_area_f(n, np.array([x, 1.0]))
+            assert both.tolist() == [edge, clifford_area_f(n, 1.0)]
+
     @pytest.mark.parametrize(
         "xs",
         [[1.0, 0.0], [1.0, 3.0], [1.0, -0.5], [1.0, math.nan], [[1.0, 2.0]]],
@@ -223,6 +237,11 @@ class TestAreaChain:
         # Up to n = 437, where sigma_n is close to subnormal.
         ns = np.arange(2, 438)
         assert verify_area_chain(ns).tolist() == [verify_area_chain(n) for n in ns.tolist()]
+
+    def test_empty_array(self):
+        verdicts = verify_area_chain(np.array([], dtype=int))
+        assert isinstance(verdicts, np.ndarray) and verdicts.dtype == bool
+        assert verdicts.shape == (0,)
 
     def test_one_pass_chain_equals_per_n_scalar_chain(self, monkeypatch):
         # The per-n chain of scalar calls, 2 |S^n| > f(p) >= sigma_n for
