@@ -4,8 +4,9 @@ Willmore tables, Clifford areas, and the verification suite.
 Each subcommand is declared once, by ``_command`` on its handler: help,
 flags (their argparse types enforce every bound) and the flags echoed
 under "extras".  Reports are CSV (LF endings, every row rendered by one
-%-template per report: %s for a str cell, %.17g for any other, so floats
-keep 17 significant digits, bools print as 1 or 0 and ints as their
+%-template per report, taken from the first row since a column holds one
+type in every row: %s for a str cell, %d for an int or a bool, which
+prints as 1 or 0, and %.17g for a float, so floats keep 17 significant
 digits) or JSON (schema_version "1", echoing the resolved
 configuration).  Exit status is 0 on success, 1 when a verification
 check fails, 2 on usage errors.
@@ -46,7 +47,8 @@ _WIDTH_NOTE = (
 
 class _Report(NamedTuple):
     """CSV header and rows, JSON payload (built on demand), exit status.
-    Rows are tuples; a column holds a str in every row or in none."""
+    Rows are tuples; a column holds one type in every row: str, int, bool
+    or float."""
 
     header: list[str]
     rows: list[tuple]
@@ -241,8 +243,11 @@ def _verify(args: argparse.Namespace) -> _Report:
 def _write_report(args: argparse.Namespace, report: _Report) -> None:
     """Render the report in --format and write it to --out or stdout."""
     if args.format == "csv":
-        # '%.17g' % True is "1", and an int below 1e17 prints its digits.
-        row = ",".join("%s" if isinstance(x, str) else "%.17g" for x in report.rows[0])
+        # A bool is an int, and '%d' % True is "1".
+        row = ",".join(
+            "%s" if isinstance(x, str) else "%d" if isinstance(x, int) else "%.17g"
+            for x in report.rows[0]
+        )
         text = "\n".join([",".join(report.header), *map(row.__mod__, report.rows)]) + "\n"
     else:
         config = {

@@ -18,9 +18,13 @@ Enclosed volume has the closed form
 
 with I the regularized incomplete beta, which is also what the direct
 integral (1/2) |S^k| |S^(n-k)| cossin_integral(k, n-k, r) evaluates to.
-Every volume inversion goes through one batched solve, with one tube
-family per element, so radius_for_volume, profile_at and profile_curve
-agree bit for bit, whatever else shares a batch.  That solve is a bracketed
+Every volume inversion goes through one solve, with one tube family per
+element, so radius_for_volume, profile_at and profile_curve agree bit for
+bit, whatever else shares a batch.  A batch of fewer than 32 elements (one
+radius, the n + 1 families of profile_at, each step of the 2n handoff
+solves up to dimension 16) runs it one element at a time on floats, a
+larger one on arrays, with the arithmetic shared and the same doubles out;
+tests check that equality.  That solve is a bracketed
 Halley iteration on the log of the volume fraction, or of its complement
 above half volume, so radii keep their relative accuracy in both tails.  It
 stops on a relative step of 1e-14, or one evaluation earlier once Halley's
@@ -51,6 +55,7 @@ envelope.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import sys
@@ -60,7 +65,8 @@ from enum import Enum
 import numpy as np
 
 from .clifford import CliffordShape, _area, _mean_curvature, area_rp
-from .specfn import _betainc_xc_vec, _check_int, _log_beta_norm, sphere_area
+from .specfn import _CF_LOOP_BELOW, _betainc_xc, _betainc_xc_vec, _check_int, _log_beta_norm
+from .specfn import sphere_area
 
 __all__ = [
     "Space",
@@ -95,6 +101,8 @@ _START_NODES = np.concatenate(
     [np.geomspace(1e-6, _HALF_PI / 33, 8, endpoint=False), _HALF_PI * np.arange(1, 33) / 33]
 )
 _LOG_NODES = np.log(_START_NODES)
+# The largest start latitude, the last double below pi/2.
+_T_MAX = math.nextafter(_HALF_PI, 0.0)
 
 # The handoff solve stops once a Newton step moves a volume fraction by at
 # most _HANDOFF_TOL or its bracket has closed to 4 ulp.  It raises
@@ -200,8 +208,9 @@ def tube_volume(fam: TubeFamily, r: float) -> float:
     r = float(r)
     if not (0.0 <= r <= _HALF_PI):
         raise ValueError(f"radius must lie in [0, pi/2], got {r}")
-    s, c = np.sin([r]), np.cos([r])
-    frac = float(_betainc_xc_vec(s * s, c * c, 0.5 * (fam.n - fam.k + 1), 0.5 * (fam.k + 1))[0])
+    a, b = 0.5 * (fam.n - fam.k + 1), 0.5 * (fam.k + 1)
+    s, c = np.sin(r), np.cos(r)
+    frac = float(_betainc_xc(s * s, c * c, a, b, _log_beta_norm(a, b)[1]))
     return total_volume(fam.ambient_dim, fam.space) * frac
 
 
@@ -285,16 +294,36 @@ def _start_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     return tables
 
 
+def _asymptote(n: int, root, scale) -> tuple:
+    """The start t = (y p B(p, q))^(1/(2p)) = root * scale capped at 1.2,
+    from root = y^(1/(2p)), and whether t is the root, within 1e-16 / (2p)
+    relative since (p + q) t^2 < 1e-16.  Floats or arrays; root is np.power
+    with an exponent array, since a float exponent of 1/2 takes a
+    square-root path that rounds differently."""
+    t = np.minimum(root * scale, 1.2)
+    return t, (t > 0.0) & (0.5 * (n + 2) * t * t < 1e-16)
+
+
+def _hermite(u, u0, u1, l0, l1, m0, m1):
+    """Cubic Hermite fit of log t at u = log y on [u0, u1], with log t = l0,
+    l1 and slopes m0, m1 at the ends; NaN at an underflowed node or an
+    infinite slope.  Floats or arrays."""
+    h = u1 - u0
+    x = (u - u0) / h
+    x1 = x - 1.0
+    log_t = (1.0 + 2.0 * x) * x1 * x1 * l0 + x * x1 * x1 * h * m0
+    return log_t + x * x * (3.0 - 2.0 * x) * l1 + x * x * x1 * h * m1
+
+
 def _table_start(
     keys: np.ndarray, slopes: np.ndarray, row: np.ndarray, y: np.ndarray
 ) -> np.ndarray:
     """Start latitudes for the lower fraction I_{sin^2 t}(p, q) = y of
     mirror family row[i], from the flattened search keys and slopes of
-    _start_table: cubic Hermite interpolation of log t over log y, with the
-    node slopes, extrapolated from the last interval above the last node
-    and clipped into (0, pi/2).  NaN below the first node whose I is
-    positive, and where an end of the interval has an infinite slope.
-    Each element's start depends only on its own y and row."""
+    _start_table: _hermite on the interval that holds log y, or the last
+    one above the last node, clipped into (0, pi/2).  NaN below the first
+    node whose I is positive, and where _hermite is not finite.  Each
+    element's start depends only on its own y and row."""
     u = np.log(y)
     size = _START_NODES.size
     # One search over all rows: the keys sort by row, then by log y.
@@ -302,16 +331,29 @@ def _table_start(
     i = np.clip(pos - 1, 0, size - 2)
     at = row * size + i
     log_y = keys.imag
-    u0, l0, m0 = log_y[at], _LOG_NODES[i], slopes[at]
-    u1, l1, m1 = log_y[at + 1], _LOG_NODES[i + 1], slopes[at + 1]
-    h = u1 - u0
-    x = (u - u0) / h
-    x1 = x - 1.0
-    # The Hermite basis on [u0, u1]; an underflowed node gives NaN.
-    log_t = (1.0 + 2.0 * x) * x1 * x1 * l0 + x * x1 * x1 * h * m0
-    log_t = log_t + x * x * (3.0 - 2.0 * x) * l1 + x * x * x1 * h * m1
-    t = np.clip(np.exp(log_t), sys.float_info.min, np.nextafter(_HALF_PI, 0.0))
+    log_t = _hermite(
+        u, log_y[at], log_y[at + 1], _LOG_NODES[i], _LOG_NODES[i + 1], slopes[at], slopes[at + 1]
+    )
+    t = np.clip(np.exp(log_t), sys.float_info.min, _T_MAX)
     return np.where((pos > 0) & np.isfinite(log_t), t, np.nan)
+
+
+def _halley(pm, j, s, c, frac, y, ln_beta) -> tuple:
+    """(Newton step, f''/f', Halley step) at s = sin t, c = cos t of mirror
+    family j, pm = n - j, with frac = I and ln_beta = log B(p, q); the
+    Halley step may not be finite.  Floats or arrays."""
+    log_slope = _LN_2 + pm * np.log(s) + j * np.log(c) - ln_beta
+    inv_slope = np.exp(np.log(frac) - log_slope)  # 1 / f'
+    newton = -np.log(frac / y) * inv_slope
+    curv = pm * c / s - j * s / c - 1.0 / inv_slope
+    return newton, curv, newton / (1.0 + 0.5 * newton * curv)
+
+
+def _unconverged(n: int, rows: list[int]) -> RuntimeError:
+    return RuntimeError(
+        f"volume Halley solve not converged after {_MAX_RADIUS_STEPS} steps "
+        f"in dimension n={n} for mirror families j={sorted(set(rows))}"
+    )
 
 
 def _invert_lower_fraction(n: int, row: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -328,54 +370,112 @@ def _invert_lower_fraction(n: int, row: np.ndarray, y: np.ndarray) -> np.ndarray
     third-order step) on f = log I_{sin^2 t}(p, q) - log y.  Its slope is
     f' = I'/I with I' = 2 sin^(2p-1) t cos^(2q-1) t / B(p, q), and
     f''/f' = (2p - 1) cot t - (2q - 1) tan t - I'/I, so the Halley step
-    newton / (1 + newton f''/(2 f')) costs a few array operations over
-    Newton's; where it is not finite, the Newton step is taken.  An element
-    whose small-radius asymptote t = (y p B(p, q))^(1/(2p)) is already exact
-    in double precision, since (p + q) t^2 < 1e-16, takes it as the answer;
-    that also covers the fractions for which sin^2 t underflows.  Every
-    other element starts from its row of the dimension's _start_table,
-    through _table_start, or, below the row's first positive node and
-    wherever the table gives nothing finite, from the asymptote capped at
-    1.2.  The tables are memoised by a bounded lru_cache, which only saves
-    rebuilding a pure function of n, so it can change no result; each
-    element's start depends only on its own (y, row).  It then keeps its
-    own bracket inside [0, pi/2] and bisects only when a step leaves it.
-    An element is done with t + step once the step moves t by at most
-    _RADIUS_RTOL * t, or, without a confirming evaluation, once t + step
-    lies in the bracket and |step| / t and |step f''/f'| are both at most
-    _HALLEY_RTOL, which puts Halley's error estimate |step| (step f''/f')^2
-    below 1e-15 t.  The first test skips the bracket test, since a
-    converged step may land on a bracket end.  The loop drops elements from
-    its state only on the steps where some finish.  Raises RuntimeError
-    after _MAX_RADIUS_STEPS steps.
+    newton / (1 + newton f''/(2 f')) costs a few operations over Newton's
+    (_halley); where it is not finite, the Newton step is taken.  An
+    element whose small-radius asymptote is already exact takes it as the
+    answer (_asymptote); that also covers the fractions for which sin^2 t
+    underflows.  Every other element starts from its row of the
+    dimension's _start_table (_hermite), or, below the row's first
+    positive node and wherever the table gives nothing finite, from the
+    asymptote capped at 1.2.  The tables are memoised by a bounded
+    lru_cache, which only saves rebuilding a pure function of n, so it can
+    change no result; each element's start depends only on its own
+    (y, row).  It then keeps its own bracket inside [0, pi/2] and bisects
+    only when a step leaves it.  An element is done with t + step once the
+    step moves t by at most _RADIUS_RTOL * t, or, without a confirming
+    evaluation, once t + step lies in the bracket and |step| / t and
+    |step f''/f'| are both at most _HALLEY_RTOL, which puts Halley's error
+    estimate |step| (step f''/f')^2 below 1e-15 t.  The first test skips
+    the bracket test, since a converged step may land on a bracket end.
+    Raises RuntimeError, naming the mirror families left, when an element
+    is not done after _MAX_RADIUS_STEPS steps.
+
+    Two drivers run this, with the arithmetic above written once and only
+    the loop control twice.  A batch of fewer than _CF_LOOP_BELOW elements
+    is solved one element at a time on floats (_invert_one), where numpy's
+    per-call overhead would cost more than the arithmetic; a larger one
+    runs on arrays (_invert_batch).  Both return the same doubles and
+    raise the same error, which the tests check bit for bit.
     """
+    if y.size >= _CF_LOOP_BELOW:
+        return _invert_batch(n, row, y)
+    row = row.tolist()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = [_invert_one(n, j, v) for j, v in zip(row, y.tolist())]
+    if None in out:
+        raise _unconverged(n, [j for j, t in zip(row, out) if t is None])
+    return np.array(out, dtype=float)
+
+
+def _invert_one(n: int, j: int, y: float) -> float | None:
+    """The float driver of _invert_lower_fraction on one element, of
+    mirror family j; None when it is not done after _MAX_RADIUS_STEPS
+    steps."""
+    ln_beta, ln_norm, scale, keys, slopes = _start_table(n)
+    p = 0.5 * (n + 1 - j)
+    t, exact = _asymptote(n, np.power(y, np.array([0.5 / p]))[0], scale[j])
+    if exact:
+        return t
+    # _table_start on one element, with the search confined to row j.
+    u = np.log(y)
+    nodes = _START_NODES.size
+    log_y = keys.imag
+    pos = bisect.bisect_right(log_y, u, j * nodes, (j + 1) * nodes) - j * nodes
+    if pos > 0:
+        i = min(pos - 1, nodes - 2)
+        at = j * nodes + i
+        ends = log_y[at], log_y[at + 1], _LOG_NODES[i], _LOG_NODES[i + 1]
+        log_t = _hermite(u, *ends, slopes[at], slopes[at + 1])
+        if math.isfinite(log_t):
+            t = min(max(np.exp(log_t), sys.float_info.min), _T_MAX)
+    pm = n - j
+    a, b = 0.5 * (pm + 1), 0.5 * (j + 1)
+    ln_beta, ln_norm = ln_beta[j], ln_norm[j]
+    lo, hi = 0.0, _HALF_PI
+    for _ in range(_MAX_RADIUS_STEPS):
+        s, c = np.sin(t), np.cos(t)
+        frac = _betainc_xc(s * s, c * c, a, b, ln_norm)
+        newton, curv, step = _halley(pm, j, s, c, frac, y, ln_beta)
+        if not math.isfinite(step):
+            step = newton
+        lo, hi = (t, hi) if frac < y else (lo, t)
+        new = t + step
+        inside = lo < new < hi
+        size = abs(step)
+        if size <= _RADIUS_RTOL * t or (
+            inside and size <= _HALLEY_RTOL * t and abs(step * curv) <= _HALLEY_RTOL
+        ):
+            return new
+        t = new if inside else 0.5 * (lo + hi)
+    return None
+
+
+def _invert_batch(n: int, row: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The array driver of _invert_lower_fraction: every element steps at
+    once, and the loop drops elements from its state only on the steps
+    where some finish."""
     ln_beta, ln_norm, scale, keys, slopes = _start_table(n)
     p = 0.5 * (n + 1 - row)
-    t = np.minimum(np.power(y, 0.5 / p) * scale[row], 1.2)
-    # I = t^(2p) / (p B) (1 + c t^2 + ...) with |c| < p + q, so there the
-    # start is within 1e-16 / (2p) relative of the root.
-    exact = (t > 0.0) & (0.5 * (n + 2) * t * t < 1e-16)
+    t, exact = _asymptote(n, np.power(y, 0.5 / p), scale[row])
     out = np.where(exact, t, np.nan)
     idx = np.nonzero(~exact)[0]
     t, y, row = t[idx], y[idx], row[idx]
     lo = np.zeros(idx.shape)
     hi = np.full(idx.shape, _HALF_PI)
+    steps = 0
     # A fraction that underflows to 0 gives a NaN step, which bisects.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         start = _table_start(keys, slopes, row, y)
         t = np.where(np.isnan(start), t, start)
-        for _ in range(_MAX_RADIUS_STEPS):
-            if idx.size == 0:
-                return out
+        while idx.size:
+            if steps == _MAX_RADIUS_STEPS:
+                raise _unconverged(n, row.tolist())
+            steps += 1
             pm = n - row
             s = np.sin(t)
             c = np.cos(t)
             frac = _betainc_xc_vec(s * s, c * c, 0.5 * (pm + 1), 0.5 * (row + 1), ln_norm[row])
-            log_slope = _LN_2 + pm * np.log(s) + row * np.log(c) - ln_beta[row]
-            inv_slope = np.exp(np.log(frac) - log_slope)  # 1 / f'
-            newton = -np.log(frac / y) * inv_slope
-            curv = pm * c / s - row * s / c - 1.0 / inv_slope
-            step = newton / (1.0 + 0.5 * newton * curv)
+            newton, curv, step = _halley(pm, row, s, c, frac, y, ln_beta[row])
             step = np.where(np.isfinite(step), step, newton)
             below = frac < y
             lo = np.where(below, t, lo)
@@ -391,10 +491,7 @@ def _invert_lower_fraction(n: int, row: np.ndarray, y: np.ndarray) -> np.ndarray
                 out[idx[done]] = new[done]
                 keep = ~done
                 idx, t, y, lo, hi, row = (v[keep] for v in (idx, t, y, lo, hi, row))
-    raise RuntimeError(
-        f"volume Halley solve not converged after {_MAX_RADIUS_STEPS} steps "
-        f"in dimension n={n} for mirror families j={np.unique(row).tolist()}"
-    )
+    return out
 
 
 def _tubes(

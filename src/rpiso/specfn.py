@@ -7,13 +7,15 @@ function (Lentz continued fraction with the usual symmetry switch), and an
 adaptive Gauss-Legendre integrator for cos^a(t) sin^b(t) integrands.
 
 Everything here is deterministic and depends only on ``math`` and ``numpy``,
-and each function has one path for a scalar and for an array, so a scalar
+and each formula is written once for a scalar and for an array, so a scalar
 call returns the same double as the matching element of any batch.
-log_gamma and trigamma take a float or a 1-D array and write their formula
-once; a float runs an element's steps.  The incomplete beta is the batched
-_betainc_xc_vec, which scalar entry points call on size-1 arrays.  The
-quadrature refines all its integrals together, level by level, and a scalar
-call is the batch on one element.
+log_gamma and trigamma take a float or a 1-D array; a float runs an
+element's steps.  The incomplete beta has two drivers over one prefactor
+and reflection (_front): _betainc_xc on floats, which the scalar entry
+points call, and the batched _betainc_xc_vec.  Their continued fraction is
+_betacf on floats and _betacf_vec on arrays, which loops over _betacf below
+_CF_LOOP_BELOW elements.  The quadrature refines all its integrals
+together, level by level, and a scalar call is the batch on one element.
 """
 
 from __future__ import annotations
@@ -72,7 +74,8 @@ _TRIGAMMA_SHIFT = 10.0
 _CF_EPS = 3.0e-16
 _CF_TINY = 1.0e-300
 _CF_MAX_ITER = 300
-# Below this many elements _betacf_vec loops over _betacf: numpy's
+# Below this many elements _betacf_vec loops over _betacf, and the radius
+# solve of profile runs one element at a time on floats: numpy's
 # per-operation overhead dominates small batches (x86-64, numpy 2.4: 9 us
 # against 250 us for one element; the two break even near 50).
 _CF_LOOP_BELOW = 32
@@ -272,6 +275,29 @@ def _betacf_vec(a, b, x: np.ndarray) -> np.ndarray:
     )
 
 
+def _front(x, xc, a, b, ln_norm):
+    """The incomplete beta's prefactor x^a xc^b / B(a, b), with ln_norm =
+    log(1 / B(a, b)), and whether x lies below the mean, where the
+    continued fraction converges fast; the other elements run on the
+    reflection I_x(a, b) = 1 - I_xc(b, a).  Floats or arrays of one shape:
+    the arithmetic of _betainc_xc and _betainc_xc_vec, written once."""
+    return np.exp(ln_norm + a * np.log(x) + b * np.log(xc)), x < (a + 1.0) / (a + b + 2.0)
+
+
+def _betainc_xc(x: float, xc: float, a: float, b: float, ln_norm: float) -> float:
+    """One element of _betainc_xc_vec on floats, bit for bit: the
+    prefactor of _front, then _betacf on (a, b, x), or on (b, a, xc) for a
+    reflected element."""
+    if x <= 0.0:
+        return 0.0
+    if xc <= 0.0:
+        return 1.0
+    front, lower = _front(x, xc, a, b, ln_norm)
+    if lower:
+        return front * _betacf(a, b, float(x)) / a
+    return 1.0 - front * _betacf(b, a, float(xc)) / b
+
+
 def _betainc_xc_vec(x: np.ndarray, xc: np.ndarray, a, b, ln_norm=None) -> np.ndarray:
     """Regularized incomplete beta I_x(a, b) per element, with the
     complement xc = 1 - x supplied by the caller.  Passing an independently
@@ -282,10 +308,10 @@ def _betainc_xc_vec(x: np.ndarray, xc: np.ndarray, a, b, ln_norm=None) -> np.nda
     per element.  A caller that evaluates the same (a, b) many times may
     pass it for floats too.
 
-    Past the mean the fraction converges slowly, so there it runs on the
-    reflection I_x(a, b) = 1 - I_xc(b, a).  Both kinds of element share one
-    continued-fraction call, with (a, b, x) swapped for (b, a, xc) per
-    element, which leaves each element's arithmetic as it was."""
+    Elements past the mean run on the reflection (see _front).  Both kinds
+    share one continued-fraction call, with (a, b, x) swapped for
+    (b, a, xc) per element, which leaves each element's arithmetic that of
+    _betainc_xc."""
     x = np.asarray(x, dtype=float)
     xc = np.asarray(xc, dtype=float)
     if ln_norm is None:
@@ -293,9 +319,9 @@ def _betainc_xc_vec(x: np.ndarray, xc: np.ndarray, a, b, ln_norm=None) -> np.nda
     empty = x <= 0.0
     out = np.where(empty, 0.0, 1.0)
     mid = ~(empty | (xc <= 0.0))
-    flip = mid & ~(x < (a + 1.0) / (a + b + 2.0))
     with np.errstate(divide="ignore"):  # log 0 at the endpoints, overwritten below
-        front = np.exp(ln_norm + a * np.log(x) + b * np.log(xc))
+        front, lower = _front(x, xc, a, b, ln_norm)
+    flip = mid & ~lower
     flipped = flip.any()
     if flipped:
         a, b, x = np.where(flip, b, a), np.where(flip, a, b), np.where(flip, xc, x)
@@ -322,24 +348,24 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
         raise ValueError(f"reg_inc_beta requires b > 0, got {b}")
     if not (0.0 <= x <= 1.0):
         raise ValueError(f"reg_inc_beta requires 0 <= x <= 1, got {x}")
-    return float(_betainc_xc_vec(np.array([x]), np.array([1.0 - x]), a, b)[0])
+    return float(_betainc_xc(x, 1.0 - x, a, b, _log_beta_norm(a, b)[1]))
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 
 
-def _cossin_args(n1, n2, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _cossin_args(n1, n2, r) -> tuple:
     """The exponents and radii of integrals of cos^n1 sin^n2 over [0, r],
     checked: ints and a float, or int and float arrays of one shape, with
-    n1, n2 >= 0 and r in [0, pi/2].  Returned as arrays, of shape (1,) for
-    a scalar call."""
+    n1, n2 >= 0 and r in [0, pi/2].  Returned as ints and a float, or as
+    arrays."""
     if not isinstance(r, np.ndarray):
         _check_int("n1", n1, 0)
         _check_int("n2", n2, 0)
         r = float(r)
         if not (0.0 <= r <= _HALF_PI):
             raise ValueError(f"radius must lie in [0, pi/2], got {r}")
-        return np.array([n1]), np.array([n2]), np.array([r])
+        return n1, n2, r
     n1, n2, r = np.asarray(n1), np.asarray(n2), np.asarray(r, dtype=float)
     ints = all(np.issubdtype(n.dtype, np.integer) for n in (n1, n2))
     if not (ints and n1.shape == n2.shape == r.shape and (n1 >= 0).all() and (n2 >= 0).all()):
@@ -392,8 +418,8 @@ def cossin_integral(
     """
     scalar = not isinstance(r, np.ndarray)
     n1, n2, r = _cossin_args(n1, n2, r)
-    shape = r.shape
-    n1, n2, r = n1.ravel(), n2.ravel(), r.ravel()
+    shape = np.shape(r)
+    n1, n2, r = np.ravel(n1), np.ravel(n2), np.ravel(r)
     out = np.zeros(r.size)
     # Open panels: the integral each belongs to, its ends and its estimate.
     owner = np.arange(r.size)
@@ -439,16 +465,19 @@ def cossin_integral_closed(
 
     Takes ints and a float, or int and float arrays of one shape, one
     integral per element, in one log-beta pass and one incomplete-beta
-    call.  A scalar call runs the same steps on floats a and b, so it
-    equals the matching element of any batch bit for bit.
+    call.  A scalar call runs the same steps on floats, through
+    _betainc_xc, so it equals the matching element of any batch bit for
+    bit.
     """
-    scalar = not isinstance(r, np.ndarray)
     n1, n2, r = _cossin_args(n1, n2, r)
-    shape = r.shape
-    a, b = 0.5 * (n2.ravel() + 1), 0.5 * (n1.ravel() + 1)
-    if scalar:
-        a, b = float(a[0]), float(b[0])
+    scalar = not isinstance(r, np.ndarray)
+    shape = np.shape(r)
+    if not scalar:
+        n1, n2, r = n1.ravel(), n2.ravel(), r.ravel()
+    a, b = 0.5 * (n2 + 1), 0.5 * (n1 + 1)
     log_b, ln_norm = _log_beta_norm(a, b)
-    s, c = np.sin(r.ravel()), np.cos(r.ravel())
-    out = 0.5 * np.exp(log_b) * _betainc_xc_vec(s * s, c * c, a, b, ln_norm)
-    return float(out[0]) if scalar else out.reshape(shape)
+    s, c = np.sin(r), np.cos(r)
+    out = 0.5 * np.exp(log_b) * (_betainc_xc if scalar else _betainc_xc_vec)(
+        s * s, c * c, a, b, ln_norm
+    )
+    return float(out) if scalar else out.reshape(shape)

@@ -83,15 +83,13 @@ def check_profile_arcs(
 ):
     """Arc count, transition count, and volume symmetry of one profile."""
     tol = _tol(overrides, "profile_symmetry")
-    points = profile.profile_curve(dim, samples)
-    ks = [p.best_k for p in points]
-    arcs = 1 + sum(1 for i in range(1, len(ks)) if ks[i] != ks[i - 1])
+    _, perims, best, _ = profile._profile_columns(dim, samples)
+    arcs = 1 + int(np.count_nonzero(np.diff(best)))
     crossings = profile.transition_volumes(dim)
-    worst = 0.0
-    for i in range(samples // 2):
-        left = points[i].perimeter
-        right = points[samples - 1 - i].perimeter
-        worst = max(worst, abs(left - right) / max(left, right))
+    # Each perimeter against its mirror about half volume.
+    perims = np.array(perims)
+    left, right = perims[: samples // 2], perims[::-1][: samples // 2]
+    worst = float(np.max(np.abs(left - right) / np.maximum(left, right), initial=0.0))
     ok = arcs == dim and len(crossings) == dim - 1 and worst <= tol
     return ok, (
         f"dim {dim}: {arcs} arcs (want {dim}), {len(crossings)} transitions "

@@ -288,27 +288,81 @@ class TestRadiusTails:
         # and a half evaluated elements per (volume, family) radius solve on
         # the profile grids, counting the solves the envelope actually runs
         # and, from a cold cache, the elements that build the start tables.
+        # Batches under _CF_LOOP_BELOW elements evaluate one float at a time.
         profile._start_table.cache_clear()
         evaluated = solved = 0
-        betainc = profile._betainc_xc_vec
         solve = profile._invert_lower_fraction
 
-        def counting(x, *args, **kwargs):
-            nonlocal evaluated
-            evaluated += np.size(x)
-            return betainc(x, *args, **kwargs)
+        def counting(betainc):
+            def count(x, *args):
+                nonlocal evaluated
+                evaluated += np.size(x)
+                return betainc(x, *args)
+
+            return count
 
         def counting_solve(n, row, y):
             nonlocal solved
             solved += np.size(y)
             return solve(n, row, y)
 
-        monkeypatch.setattr(profile, "_betainc_xc_vec", counting)
+        for name in ("_betainc_xc_vec", "_betainc_xc"):
+            monkeypatch.setattr(profile, name, counting(getattr(profile, name)))
         monkeypatch.setattr(profile, "_invert_lower_fraction", counting_solve)
         for dim in range(3, 17):
             profile_curve(dim, 2000)
         assert solved > 0
         assert evaluated <= 1.5 * solved
+
+    @pytest.mark.parametrize("size", [1, 31, 32, 33])
+    def test_float_and_array_drivers_agree(self, size, monkeypatch):
+        # Batches under _CF_LOOP_BELOW elements solve on floats, larger ones
+        # on arrays.  Batches of `size` with mixed rows equal the array
+        # driver's and each element's own float solve bit for bit, for every
+        # row of n = 1..40 over y log-uniform in [1e-300, 1/2]: answers that
+        # are the asymptote, starts below a row's first positive node, and
+        # table starts.  Upper tails up to nextafter(1, 0) go through
+        # _radii_for_fractions.  With a one-step budget both drivers raise
+        # the same error, or return the same doubles.
+        assert profile._CF_LOOP_BELOW == 32
+        rng = np.random.default_rng(size)
+        invert, batch = profile._invert_lower_fraction, profile._invert_batch
+
+        def outcome(solve, n, row, y):
+            try:
+                return solve(n, row, y).tolist()
+            except RuntimeError as exc:
+                return str(exc)
+
+        kinds = np.zeros(3, dtype=int)
+        for n in range(1, 41):
+            row = rng.permutation(np.tile(np.arange(n + 1), 4))
+            y = np.exp(rng.uniform(math.log(1e-300), math.log(0.5), row.size))
+            _, _, scale, keys, slopes = profile._start_table(n)
+            with np.errstate(all="ignore"):
+                root = np.power(y, 0.5 / (0.5 * (n + 1 - row)))
+                _, exact = profile._asymptote(n, root, scale[row])
+                start = profile._table_start(keys, slopes, row, y)
+            table = np.isfinite(start[~exact])
+            kinds += exact.sum(), table.size - table.sum(), table.sum()
+            each = [invert(n, row[i : i + 1], y[i : i + 1])[0] for i in range(row.size)]
+            assert batch(n, row, y).tolist() == each
+            parts = [slice(i, i + size) for i in range(0, row.size, size)]
+            for part in parts:
+                assert invert(n, row[part], y[part]).tolist() == each[part]
+                assert batch(n, row[part], y[part]).tolist() == each[part]
+            upper = np.append(1.0 - np.geomspace(1e-15, 0.5, 39), np.nextafter(1.0, 0.0))
+            k = rng.integers(0, n + 1, upper.size)
+            radii = profile._radii_for_fractions(n, k, upper).tolist()
+            assert radii == [
+                profile._radii_for_fractions(n, j, upper[i : i + 1])[0] for i, j in enumerate(k)
+            ]
+            with monkeypatch.context() as patch:
+                patch.setattr(profile, "_MAX_RADIUS_STEPS", 1)
+                for part in parts:
+                    args = n, row[part], y[part]
+                    assert outcome(invert, *args) == outcome(batch, *args)
+        assert kinds.min() > 0, kinds
 
     @pytest.mark.parametrize("dim", range(3, 31))
     def test_best_family_at_both_ends(self, dim):
@@ -317,14 +371,20 @@ class TestRadiusTails:
         assert profile_at(dim, (1.0 - 1e-15) * total).best_k == dim - 1
 
     def test_raises_when_budget_runs_out(self, monkeypatch):
-        fam = TubeFamily(6, 2)
-        v = 0.3 * total_volume(6)
-        radius_for_volume(fam, v)
+        # With one step allowed, solves that finish on it answer, and those
+        # that need a second raise and name their mirror families: on floats
+        # for one element, on arrays for a profile's 48 node solves.
+        fam = TubeFamily(6, 0)
+        total = total_volume(6)
+        one = radius_for_volume(fam, 0.3 * total)
+        batch = profile._radii_for_fractions(5, 2, np.full(40, 0.3))
         monkeypatch.setattr(profile, "_MAX_RADIUS_STEPS", 1)
-        with pytest.raises(RuntimeError, match="steps"):
-            radius_for_volume(fam, v)
-        with pytest.raises(RuntimeError, match="steps"):
-            profile_curve(6, 50)
+        assert radius_for_volume(fam, 0.3 * total) == one
+        assert np.array_equal(profile._radii_for_fractions(5, 2, np.full(40, 0.3)), batch)
+        with pytest.raises(RuntimeError, match=r"after 1 steps .* families j=\[5\]$"):
+            radius_for_volume(fam, 0.8 * total)
+        with pytest.raises(RuntimeError, match=r"after 1 steps .* families j=\[4, 5\]$"):
+            profile_curve(6, 100)
 
 
 def _rp3_ball_radius(fraction: float) -> float:

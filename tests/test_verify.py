@@ -13,6 +13,7 @@ from rpiso.verify import (
     CheckResult,
     check_area_chain,
     check_identities,
+    check_profile_arcs,
     check_rp3,
     check_specfn,
     check_stability,
@@ -202,6 +203,13 @@ class TestFailurePaths:
         result = check_successive(max_dim=5, samples=200)
         assert not result.passed
         assert result.detail == "failed for ambient dims [4]"
+
+    def test_profile_arcs_on_a_grid_too_coarse(self):
+        # Two samples at dim 4 see two of its four arcs; the verdict is a
+        # bool, so the JSON report can hold it.
+        result = check_profile_arcs(4, 2)
+        assert result.passed is False
+        assert result.detail.startswith("dim 4: 2 arcs (want 4), 3 transitions (want 3), ")
 
     def test_stability_endpoint_margin(self, monkeypatch):
         # An interval shifted off the closed form: its ends are no longer
