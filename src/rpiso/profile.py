@@ -20,15 +20,16 @@ with I the regularized incomplete beta, which is also what the direct
 integral (1/2) |S^k| |S^(n-k)| cossin_integral(k, n-k, r) evaluates to.
 Every volume inversion goes through one solve, with one tube family per
 element, so radius_for_volume, profile_at and profile_curve agree bit for
-bit, whatever else shares a batch.  A batch of fewer than 32 elements (one
-radius, the n + 1 families of profile_at, each step of the 2n handoff
-solves up to dimension 16) runs it one element at a time on floats, a
-larger one on arrays, with the arithmetic shared and the same doubles out;
-tests check that equality.  That solve is a bracketed
-Halley iteration on the log of the volume fraction, or of its complement
-above half volume, so radii keep their relative accuracy in both tails.  It
-stops on a relative step of 1e-14, or one evaluation earlier once Halley's
-error estimate for the step is below 1e-15 relative.  Above half volume the
+bit, whatever else shares a batch.  A batch of fewer than _FLOAT_BELOW
+(32) elements (one radius, the n + 1 families of profile_at, each step of
+the 2n handoff solves up to dimension 16) runs it one element at a time on
+floats, a larger one on arrays, with the arithmetic shared and the same
+doubles out; tests check that equality.  The incomplete beta's batched
+entry follows the same rule.  That solve is a bracketed Halley iteration
+on the log of the volume fraction, or of its complement above half volume,
+so radii keep their relative accuracy in both tails.  It stops on a
+relative step of 1e-14, or one evaluation earlier once Halley's error
+estimate for the step is below 1e-15 relative.  Above half volume the
 tube of family k is the complement of a tube of the mirror family n - k, so
 every element inverts the lower fraction of one family j in 0..n, and starts
 from row j of a table of the inverse cached per dimension, so on the
@@ -65,7 +66,7 @@ from enum import Enum
 import numpy as np
 
 from .clifford import CliffordShape, _area, _mean_curvature, area_rp
-from .specfn import _CF_LOOP_BELOW, _betainc_xc, _betainc_xc_vec, _check_int, _log_beta_norm
+from .specfn import _FLOAT_BELOW, _betainc_xc, _betainc_xc_vec, _check_int, _log_beta_norm
 from .specfn import sphere_area
 
 __all__ = [
@@ -391,13 +392,13 @@ def _invert_lower_fraction(n: int, row: np.ndarray, y: np.ndarray) -> np.ndarray
     is not done after _MAX_RADIUS_STEPS steps.
 
     Two drivers run this, with the arithmetic above written once and only
-    the loop control twice.  A batch of fewer than _CF_LOOP_BELOW elements
+    the loop control twice.  A batch of fewer than _FLOAT_BELOW elements
     is solved one element at a time on floats (_invert_one), where numpy's
     per-call overhead would cost more than the arithmetic; a larger one
     runs on arrays (_invert_batch).  Both return the same doubles and
     raise the same error, which the tests check bit for bit.
     """
-    if y.size >= _CF_LOOP_BELOW:
+    if y.size >= _FLOAT_BELOW:
         return _invert_batch(n, row, y)
     row = row.tolist()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -519,7 +520,9 @@ def _envelope(
     ambient_dim: int, volumes: np.ndarray, total: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lower envelope over k of the tube perimeters at fixed volumes in RP^d,
-    whose total volume is total.
+    whose total volume is total.  The volumes must be in ascending order:
+    the bounds between nodes below are chords and tangents between
+    neighbouring volumes.
 
     Returns (best_k, perimeter, radius) arrays; ties pick the smallest k.
     The answers are those of np.argmin over every family solved at every
@@ -527,9 +530,9 @@ def _envelope(
     in v: dP/dV = n H, and H decreases as r, and with it v, grows.  So on an
     interval between two volumes a and b, P_k lies above its chord and
     below both its end tangents.  Every family is solved at the nodes,
-    every _NODE_STRIDE-th volume in sorted order plus the last; raises
-    RuntimeError if some family's slope there does not decrease, since the
-    bounds would then not hold.  Between the nodes, family k is solved at v only when its chord
+    every _NODE_STRIDE-th volume plus the last; raises RuntimeError if some
+    family's slope there does not decrease, since the bounds would then not
+    hold.  Between the nodes, family k is solved at v only when its chord
     is at most (1 + _PRUNE_MARGIN) times the smallest end tangent of any
     family, plus 1e-12 of the bounds' largest term for their rounding.  A
     family skipped at v lies above its chord, and so above the family of
@@ -538,9 +541,7 @@ def _envelope(
     the solved ones equal their entries in the full table.
     """
     n = ambient_dim - 1
-    volumes = np.asarray(volumes, dtype=float)
-    order = np.argsort(volumes, kind="stable")
-    v = volumes[order]
+    v = np.asarray(volumes, dtype=float)
     y, upper = _split(v, total)
     is_node = np.zeros(v.size, dtype=bool)
     is_node[::_NODE_STRIDE] = True
@@ -574,15 +575,9 @@ def _envelope(
     if col.size:
         col = inner[col]
         perims[fam, col], radii[fam, col], _ = _tubes(n, fam, y[col], upper[col])
-    pick = np.argmin(perims, axis=0)
+    best = np.argmin(perims, axis=0)
     cols = np.arange(v.size)
-    best = np.empty(v.size, dtype=int)
-    perim = np.empty(v.size)
-    radius = np.empty(v.size)
-    best[order] = pick
-    perim[order] = perims[pick, cols]
-    radius[order] = radii[pick, cols]
-    return best, perim, radius
+    return best, perims[best, cols], radii[best, cols]
 
 
 def profile_at(

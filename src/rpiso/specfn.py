@@ -10,12 +10,13 @@ Everything here is deterministic and depends only on ``math`` and ``numpy``,
 and each formula is written once for a scalar and for an array, so a scalar
 call returns the same double as the matching element of any batch.
 log_gamma and trigamma take a float or a 1-D array; a float runs an
-element's steps.  The incomplete beta has two drivers over one prefactor
-and reflection (_front): _betainc_xc on floats, which the scalar entry
-points call, and the batched _betainc_xc_vec.  Their continued fraction is
-_betacf on floats and _betacf_vec on arrays, which loops over _betacf below
-_CF_LOOP_BELOW elements.  The quadrature refines all its integrals
-together, level by level, and a scalar call is the batch on one element.
+element's steps.  The incomplete beta has two paths over one prefactor
+and reflection (_front): the float element _betainc_xc, with the
+continued fraction _betacf, and the array batch of _betainc_xc_vec, with
+_betacf_vec.  The scalar entry points run the float element, and so does
+_betainc_xc_vec on a batch of fewer than _FLOAT_BELOW elements, one
+element at a time.  The quadrature refines all its integrals together,
+level by level, and a scalar call is the batch on one element.
 """
 
 from __future__ import annotations
@@ -74,11 +75,13 @@ _TRIGAMMA_SHIFT = 10.0
 _CF_EPS = 3.0e-16
 _CF_TINY = 1.0e-300
 _CF_MAX_ITER = 300
-# Below this many elements _betacf_vec loops over _betacf, and the radius
-# solve of profile runs one element at a time on floats: numpy's
-# per-operation overhead dominates small batches (x86-64, numpy 2.4: 9 us
-# against 250 us for one element; the two break even near 50).
-_CF_LOOP_BELOW = 32
+# Batches of fewer elements run one element at a time on floats, in
+# _betainc_xc_vec and in profile's radius solve, where numpy's per-call
+# overhead outweighs the arithmetic.  On mixed (a, b) rows the float
+# incomplete beta takes 0.07 to 0.28 of the array one's time up to 32
+# elements and 0.84 at 96; 16 in place of 32 made profile_at at dims 16
+# and 25 and transition_volumes at dims 8 and 9 1.1 to 1.7 times slower.
+_FLOAT_BELOW = 32
 
 
 def _check_int(
@@ -233,14 +236,10 @@ def _betacf(a: float, b: float, x: float) -> float:
 
 
 def _betacf_vec(a, b, x: np.ndarray) -> np.ndarray:
-    """Vectorized _betacf; a and b are floats, or arrays the shape of x
+    """_betacf on arrays; a and b are floats, or arrays the shape of x
     with one (a, b) per element.  Converged elements freeze, and the
-    fraction uses only + - * /, so each element equals the scalar call bit
-    for bit; small batches therefore loop over the scalar call."""
-    x = np.asarray(x, dtype=float)
-    if x.size < _CF_LOOP_BELOW:
-        args = (v.ravel().tolist() if np.ndim(v) else [float(v)] * x.size for v in (a, b, x))
-        return np.array(list(map(_betacf, *args))).reshape(x.shape)
+    fraction uses only + - * /, so each element equals _betacf on it bit
+    for bit."""
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
@@ -298,24 +297,24 @@ def _betainc_xc(x: float, xc: float, a: float, b: float, ln_norm: float) -> floa
     return 1.0 - front * _betacf(b, a, float(xc)) / b
 
 
-def _betainc_xc_vec(x: np.ndarray, xc: np.ndarray, a, b, ln_norm=None) -> np.ndarray:
+def _betainc_xc_vec(x: np.ndarray, xc: np.ndarray, a, b, ln_norm) -> np.ndarray:
     """Regularized incomplete beta I_x(a, b) per element, with the
     complement xc = 1 - x supplied by the caller.  Passing an independently
     computed complement (for example cos^2 r alongside sin^2 r) preserves
-    accuracy near x = 1.  a and b are floats, or arrays the shape of x.
-    ln_norm is log(1 / B(a, b)), _log_beta_norm(a, b)[1]: computed here
-    when omitted, which only floats a and b may do; arrays a and b need it
-    per element.  A caller that evaluates the same (a, b) many times may
-    pass it for floats too.
+    accuracy near x = 1.  a, b and ln_norm = log(1 / B(a, b)), the second
+    value of _log_beta_norm(a, b), are floats, or arrays the shape of x.
 
-    Elements past the mean run on the reflection (see _front).  Both kinds
-    share one continued-fraction call, with (a, b, x) swapped for
-    (b, a, xc) per element, which leaves each element's arithmetic that of
-    _betainc_xc."""
+    A batch of fewer than _FLOAT_BELOW elements runs _betainc_xc on each
+    element.  A larger one runs on arrays: elements past the mean run on
+    the reflection (see _front), and both kinds share one
+    continued-fraction call, with (a, b, x) swapped for (b, a, xc) per
+    element, which leaves each element's arithmetic that of _betainc_xc.
+    So every element equals _betainc_xc on it bit for bit."""
     x = np.asarray(x, dtype=float)
     xc = np.asarray(xc, dtype=float)
-    if ln_norm is None:
-        ln_norm = _log_beta_norm(a, b)[1]
+    if x.size < _FLOAT_BELOW:
+        args = (v.ravel().tolist() for v in np.broadcast_arrays(x, xc, a, b, ln_norm))
+        return np.array(list(map(_betainc_xc, *args)), dtype=float).reshape(x.shape)
     empty = x <= 0.0
     out = np.where(empty, 0.0, 1.0)
     mid = ~(empty | (xc <= 0.0))

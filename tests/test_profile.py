@@ -288,7 +288,7 @@ class TestRadiusTails:
         # and a half evaluated elements per (volume, family) radius solve on
         # the profile grids, counting the solves the envelope actually runs
         # and, from a cold cache, the elements that build the start tables.
-        # Batches under _CF_LOOP_BELOW elements evaluate one float at a time.
+        # Batches under _FLOAT_BELOW elements evaluate one float at a time.
         profile._start_table.cache_clear()
         evaluated = solved = 0
         solve = profile._invert_lower_fraction
@@ -316,7 +316,7 @@ class TestRadiusTails:
 
     @pytest.mark.parametrize("size", [1, 31, 32, 33])
     def test_float_and_array_drivers_agree(self, size, monkeypatch):
-        # Batches under _CF_LOOP_BELOW elements solve on floats, larger ones
+        # Batches under _FLOAT_BELOW elements solve on floats, larger ones
         # on arrays.  Batches of `size` with mixed rows equal the array
         # driver's and each element's own float solve bit for bit, for every
         # row of n = 1..40 over y log-uniform in [1e-300, 1/2]: answers that
@@ -324,7 +324,7 @@ class TestRadiusTails:
         # table starts.  Upper tails up to nextafter(1, 0) go through
         # _radii_for_fractions.  With a one-step budget both drivers raise
         # the same error, or return the same doubles.
-        assert profile._CF_LOOP_BELOW == 32
+        assert profile._FLOAT_BELOW == 32
         rng = np.random.default_rng(size)
         invert, batch = profile._invert_lower_fraction, profile._invert_batch
 

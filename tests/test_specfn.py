@@ -279,12 +279,14 @@ class TestRegIncBeta:
             total = total_volume(dim)
             for k in range(n + 1):
                 a, b = 0.5 * (n - k + 1), 0.5 * (k + 1)
-                batched = _betainc_xc_vec(x, xc, a, b)
-                reflected = _betainc_xc_vec(x, 1.0 - x, a, b)
-                front = 0.5 * np.exp(_log_beta_norm(a, b)[0])
+                log_b, ln_norm = _log_beta_norm(a, b)
+                batched = _betainc_xc_vec(x, xc, a, b, ln_norm)
+                reflected = _betainc_xc_vec(x, 1.0 - x, a, b, ln_norm)
+                front = 0.5 * np.exp(log_b)
                 fam = TubeFamily(dim, k)
                 for i, r in enumerate(rs.tolist()):
-                    assert _betainc_xc_vec(x[i : i + 1], xc[i : i + 1], a, b)[0] == batched[i]
+                    one = _betainc_xc_vec(x[i : i + 1], xc[i : i + 1], a, b, ln_norm)
+                    assert one[0] == batched[i]
                     assert tube_volume(fam, r) == total * batched[i]
                     assert reg_inc_beta(x[i], a, b) == reflected[i]
                     assert cossin_integral_closed(k, n - k, r) == front * batched[i]
@@ -292,6 +294,42 @@ class TestRegIncBeta:
                 point = profile_at(dim, frac * total)
                 best = TubeFamily(dim, point.best_k)
                 assert radius_for_volume(best, frac * total) == point.best_r
+
+    @pytest.mark.parametrize(
+        "size", [0, 1, specfn._FLOAT_BELOW - 1, specfn._FLOAT_BELOW, specfn._FLOAT_BELOW + 1]
+    )
+    def test_small_batches_run_the_float_element(self, size, monkeypatch):
+        # A batch under _FLOAT_BELOW elements runs _betainc_xc on each
+        # element, a larger one runs on arrays; every element is the same
+        # double either way.  Windows of `size` cover a pool of 80 elements,
+        # with x = 0 and xc = 0 first and the rest on both sides of the mean,
+        # for mixed half-integer (a, b) arrays and for float a and b.
+        rng = np.random.default_rng(size)
+        r = rng.uniform(0.01, HALF_PI - 0.01, 78)
+        s, c = np.sin(r), np.cos(r)
+        x, xc = np.append([0.0, 1.0], s * s), np.append([1.0, 0.0], c * c)
+        half = 0.5 * rng.integers(1, 40, (2, x.size))
+        for a, b in [tuple(half), (3.5, 1.5)]:
+            ln_norm = _log_beta_norm(a, b)[1]
+            cols = np.broadcast_arrays(x, xc, a, b, ln_norm)
+            lower = x < (cols[2] + 1.0) / (cols[2] + cols[3] + 2.0)
+            assert lower[2:].any() and not lower[2:].all()
+            pool = _betainc_xc_vec(x, xc, a, b, ln_norm)
+            element_of = specfn._betainc_xc
+            element = [element_of(*e) for e in zip(*(v.tolist() for v in cols))]
+            assert pool.tolist() == element
+            windows = sorted({*range(0, x.size - size + 1, size or x.size), x.size - size})
+            calls = []
+            monkeypatch.setattr(specfn, "_betainc_xc", lambda *e: calls.append(e) or element_of(*e))
+            for i in windows:
+                part = slice(i, i + size)
+                args = (v if np.ndim(v) == 0 else v[part] for v in (x, xc, a, b, ln_norm))
+                got = _betainc_xc_vec(*args)
+                assert got.shape == (size,) and got.dtype == float
+                assert got.tolist() == element[part]
+                assert np.array_equal(got, pool[part])
+            monkeypatch.undo()
+            assert len(calls) == (len(windows) * size if size < specfn._FLOAT_BELOW else 0)
 
     def test_reflection_at_sub_ulp_x_saturates(self):
         # The complement of a sub-ulp x rounds to exactly 1.0, so the pair
