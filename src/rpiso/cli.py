@@ -26,7 +26,8 @@ import numpy as np
 
 from . import verify as verify_mod
 from .clifford import CliffordShape
-from .profile import CrossingNotFound, Space, _profile_columns, total_volume, transition_volumes
+from .profile import _MAX_DIM, CrossingNotFound, Space, _profile_columns, total_volume
+from .profile import transition_volumes
 from .spectrum import stability_report
 from .specfn import QuadratureError, sphere_area
 from .willmore import _MAX_N, clifford_area_f, width_candidate, willmore_report
@@ -121,7 +122,7 @@ def _command(name: str, summary: str, *flags, extras: tuple[str, ...] = ()):
 @_command(
     "profile",
     "perimeter-volume envelope over tube families",
-    _dim(2),
+    _dim(2, maximum=_MAX_DIM),
     _flag("--samples", type=_int_range(2), default=2000, help="interior volume samples"),
     _SPACE,
 )
@@ -139,7 +140,9 @@ def _profile(args: argparse.Namespace) -> _Report:
     )
 
 
-@_command("transitions", "envelope handoff volumes between families", _dim(3), _SPACE)
+@_command(
+    "transitions", "envelope handoff volumes between families", _dim(3, maximum=_MAX_DIM), _SPACE
+)
 def _transitions(args: argparse.Namespace) -> _Report:
     space = Space(args.space)
     header = ["k", "k_next", "volume"]

@@ -23,9 +23,9 @@ element, so radius_for_volume, profile_at and profile_curve agree bit for
 bit, whatever else shares a batch.  A batch of fewer than _FLOAT_BELOW
 (32) elements (one radius, the n + 1 families of profile_at, each step of
 the 2n handoff solves up to dimension 16) runs it one element at a time on
-floats, a larger one on arrays, with the arithmetic shared and the same
-doubles out; tests check that equality.  The incomplete beta's batched
-entry follows the same rule.  That solve is a bracketed Halley iteration
+floats, through the float incomplete beta, and a larger one on arrays,
+through the batched one, with the arithmetic shared and the same doubles
+out; tests check that equality.  That solve is a bracketed Halley iteration
 on the log of the volume fraction, or of its complement above half volume,
 so radii keep their relative accuracy in both tails.  It stops on a
 relative step of 1e-14, or one evaluation earlier once Halley's error
@@ -66,7 +66,7 @@ from enum import Enum
 import numpy as np
 
 from .clifford import CliffordShape, _area, _mean_curvature, area_rp
-from .specfn import _FLOAT_BELOW, _betainc_xc, _betainc_xc_vec, _check_int, _log_beta_norm
+from .specfn import _betainc_xc, _betainc_xc_vec, _check_int, _log_beta_norm
 from .specfn import sphere_area
 
 __all__ = [
@@ -87,6 +87,10 @@ __all__ = [
 _HALF_PI = 0.5 * math.pi
 _LN_2 = math.log(2.0)
 
+# The largest d with total_volume(d) >= sys.float_info.min: 1.32e-307 at
+# 436, 1.58e-308 at 437.
+_MAX_DIM = 436
+
 # The radius solve takes t + step once a Halley step moves a latitude t by
 # at most _RADIUS_RTOL * t, or, with no further evaluation, once both
 # |step| / t and |step f''/f'| are at most _HALLEY_RTOL, so that Halley's
@@ -95,6 +99,12 @@ _LN_2 = math.log(2.0)
 _RADIUS_RTOL = 1e-14
 _HALLEY_RTOL = 1e-5
 _MAX_RADIUS_STEPS = 60
+
+# Radius batches of fewer elements solve one element at a time on floats,
+# where numpy's per-call overhead outweighs the arithmetic; 16 in place of
+# 32 made profile_at at dims 16 and 25 and transition_volumes at dims 8
+# and 9 1.1 to 1.7 times slower.
+_FLOAT_BELOW = 32
 
 # Latitudes of the radius solve's start tables, one row per mirror family:
 # geometric from 1e-6 up to pi/66, then every pi/66 up to 32 pi/66.
@@ -173,8 +183,9 @@ class ProfilePoint:
 
 
 def total_volume(ambient_dim: int, space: Space = Space.PROJECTIVE) -> float:
-    """Volume of the ambient space: |S^d| for the sphere, half for RP^d."""
-    _check_int("ambient_dim", ambient_dim, 2)
+    """Volume of the ambient space: |S^d| for the sphere, half for RP^d,
+    for 2 <= d <= _MAX_DIM (436), where the RP^d total is a normal double."""
+    _check_int("ambient_dim", ambient_dim, 2, _MAX_DIM)
     return _cover(space) * (0.5 * sphere_area(ambient_dim))
 
 
@@ -391,21 +402,60 @@ def _invert_lower_fraction(n: int, row: np.ndarray, y: np.ndarray) -> np.ndarray
     Raises RuntimeError, naming the mirror families left, when an element
     is not done after _MAX_RADIUS_STEPS steps.
 
-    Two drivers run this, with the arithmetic above written once and only
-    the loop control twice.  A batch of fewer than _FLOAT_BELOW elements
+    The arithmetic above is written once and the loop control twice, as
+    for the incomplete beta: a batch of fewer than _FLOAT_BELOW elements
     is solved one element at a time on floats (_invert_one), where numpy's
-    per-call overhead would cost more than the arithmetic; a larger one
-    runs on arrays (_invert_batch).  Both return the same doubles and
-    raise the same error, which the tests check bit for bit.
+    per-call overhead would cost more than the arithmetic.  A larger one
+    runs on arrays below: every element steps at once, and the loop drops
+    elements from its state only on the steps where some finish.  Both
+    return the same doubles and raise the same error, which the tests
+    check bit for bit.
     """
-    if y.size >= _FLOAT_BELOW:
-        return _invert_batch(n, row, y)
-    row = row.tolist()
+    if y.size < _FLOAT_BELOW:
+        rows = row.tolist()
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out = [_invert_one(n, j, v) for j, v in zip(rows, y.tolist())]
+        if None in out:
+            raise _unconverged(n, [j for j, t in zip(rows, out) if t is None])
+        return np.array(out, dtype=float)
+    ln_beta, ln_norm, scale, keys, slopes = _start_table(n)
+    p = 0.5 * (n + 1 - row)
+    t, exact = _asymptote(n, np.power(y, 0.5 / p), scale[row])
+    out = np.where(exact, t, np.nan)
+    idx = np.nonzero(~exact)[0]
+    t, y, row = t[idx], y[idx], row[idx]
+    lo = np.zeros(idx.shape)
+    hi = np.full(idx.shape, _HALF_PI)
+    steps = 0
+    # A fraction that underflows to 0 gives a NaN step, which bisects.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = [_invert_one(n, j, v) for j, v in zip(row, y.tolist())]
-    if None in out:
-        raise _unconverged(n, [j for j, t in zip(row, out) if t is None])
-    return np.array(out, dtype=float)
+        start = _table_start(keys, slopes, row, y)
+        t = np.where(np.isnan(start), t, start)
+        while idx.size:
+            if steps == _MAX_RADIUS_STEPS:
+                raise _unconverged(n, row.tolist())
+            steps += 1
+            pm = n - row
+            s = np.sin(t)
+            c = np.cos(t)
+            frac = _betainc_xc_vec(s * s, c * c, 0.5 * (pm + 1), 0.5 * (row + 1), ln_norm[row])
+            newton, curv, step = _halley(pm, row, s, c, frac, y, ln_beta[row])
+            step = np.where(np.isfinite(step), step, newton)
+            below = frac < y
+            lo = np.where(below, t, lo)
+            hi = np.where(below, hi, t)
+            new = t + step
+            inside = (new > lo) & (new < hi)
+            size = np.abs(step)
+            done = (size <= _RADIUS_RTOL * t) | (
+                inside & (size <= _HALLEY_RTOL * t) & (np.abs(step * curv) <= _HALLEY_RTOL)
+            )
+            t = np.where(inside, new, 0.5 * (lo + hi))
+            if done.any():
+                out[idx[done]] = new[done]
+                keep = ~done
+                idx, t, y, lo, hi, row = (v[keep] for v in (idx, t, y, lo, hi, row))
+    return out
 
 
 def _invert_one(n: int, j: int, y: float) -> float | None:
@@ -449,50 +499,6 @@ def _invert_one(n: int, j: int, y: float) -> float | None:
             return new
         t = new if inside else 0.5 * (lo + hi)
     return None
-
-
-def _invert_batch(n: int, row: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The array driver of _invert_lower_fraction: every element steps at
-    once, and the loop drops elements from its state only on the steps
-    where some finish."""
-    ln_beta, ln_norm, scale, keys, slopes = _start_table(n)
-    p = 0.5 * (n + 1 - row)
-    t, exact = _asymptote(n, np.power(y, 0.5 / p), scale[row])
-    out = np.where(exact, t, np.nan)
-    idx = np.nonzero(~exact)[0]
-    t, y, row = t[idx], y[idx], row[idx]
-    lo = np.zeros(idx.shape)
-    hi = np.full(idx.shape, _HALF_PI)
-    steps = 0
-    # A fraction that underflows to 0 gives a NaN step, which bisects.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        start = _table_start(keys, slopes, row, y)
-        t = np.where(np.isnan(start), t, start)
-        while idx.size:
-            if steps == _MAX_RADIUS_STEPS:
-                raise _unconverged(n, row.tolist())
-            steps += 1
-            pm = n - row
-            s = np.sin(t)
-            c = np.cos(t)
-            frac = _betainc_xc_vec(s * s, c * c, 0.5 * (pm + 1), 0.5 * (row + 1), ln_norm[row])
-            newton, curv, step = _halley(pm, row, s, c, frac, y, ln_beta[row])
-            step = np.where(np.isfinite(step), step, newton)
-            below = frac < y
-            lo = np.where(below, t, lo)
-            hi = np.where(below, hi, t)
-            new = t + step
-            inside = (new > lo) & (new < hi)
-            size = np.abs(step)
-            done = (size <= _RADIUS_RTOL * t) | (
-                inside & (size <= _HALLEY_RTOL * t) & (np.abs(step * curv) <= _HALLEY_RTOL)
-            )
-            t = np.where(inside, new, 0.5 * (lo + hi))
-            if done.any():
-                out[idx[done]] = new[done]
-                keep = ~done
-                idx, t, y, lo, hi, row = (v[keep] for v in (idx, t, y, lo, hi, row))
-    return out
 
 
 def _tubes(

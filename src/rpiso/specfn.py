@@ -12,10 +12,9 @@ call returns the same double as the matching element of any batch.
 log_gamma and trigamma take a float or a 1-D array; a float runs an
 element's steps.  The incomplete beta has two paths over one prefactor
 and reflection (_front): the float element _betainc_xc, with the
-continued fraction _betacf, and the array batch of _betainc_xc_vec, with
-_betacf_vec.  The scalar entry points run the float element, and so does
-_betainc_xc_vec on a batch of fewer than _FLOAT_BELOW elements, one
-element at a time.  The quadrature refines all its integrals together,
+continued fraction _betacf, which the scalar entry points run, and the
+array pass _betainc_xc_vec, with _betacf_vec, which runs every batch,
+whatever its size.  The quadrature refines all its integrals together,
 level by level, and a scalar call is the batch on one element.
 """
 
@@ -75,13 +74,6 @@ _TRIGAMMA_SHIFT = 10.0
 _CF_EPS = 3.0e-16
 _CF_TINY = 1.0e-300
 _CF_MAX_ITER = 300
-# Batches of fewer elements run one element at a time on floats, in
-# _betainc_xc_vec and in profile's radius solve, where numpy's per-call
-# overhead outweighs the arithmetic.  On mixed (a, b) rows the float
-# incomplete beta takes 0.07 to 0.28 of the array one's time up to 32
-# elements and 0.84 at 96; 16 in place of 32 made profile_at at dims 16
-# and 25 and transition_volumes at dims 8 and 9 1.1 to 1.7 times slower.
-_FLOAT_BELOW = 32
 
 
 def _check_int(
@@ -235,11 +227,10 @@ def _betacf(a: float, b: float, x: float) -> float:
     )
 
 
-def _betacf_vec(a, b, x: np.ndarray) -> np.ndarray:
-    """_betacf on arrays; a and b are floats, or arrays the shape of x
-    with one (a, b) per element.  Converged elements freeze, and the
-    fraction uses only + - * /, so each element equals _betacf on it bit
-    for bit."""
+def _betacf_vec(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """_betacf on arrays: a and b are arrays the shape of x, with one
+    (a, b) per element.  Converged elements freeze, and the fraction uses
+    only + - * /, so each element equals _betacf on it bit for bit."""
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
@@ -304,31 +295,23 @@ def _betainc_xc_vec(x: np.ndarray, xc: np.ndarray, a, b, ln_norm) -> np.ndarray:
     accuracy near x = 1.  a, b and ln_norm = log(1 / B(a, b)), the second
     value of _log_beta_norm(a, b), are floats, or arrays the shape of x.
 
-    A batch of fewer than _FLOAT_BELOW elements runs _betainc_xc on each
-    element.  A larger one runs on arrays: elements past the mean run on
-    the reflection (see _front), and both kinds share one
+    One array pass for every batch, whatever its size: elements past the
+    mean run on the reflection (see _front), and all elements share one
     continued-fraction call, with (a, b, x) swapped for (b, a, xc) per
-    element, which leaves each element's arithmetic that of _betainc_xc.
-    So every element equals _betainc_xc on it bit for bit."""
+    reflected element, which leaves each element's arithmetic that of
+    _betainc_xc.  So every element equals _betainc_xc on it bit for bit."""
     x = np.asarray(x, dtype=float)
     xc = np.asarray(xc, dtype=float)
-    if x.size < _FLOAT_BELOW:
-        args = (v.ravel().tolist() for v in np.broadcast_arrays(x, xc, a, b, ln_norm))
-        return np.array(list(map(_betainc_xc, *args)), dtype=float).reshape(x.shape)
     empty = x <= 0.0
     out = np.where(empty, 0.0, 1.0)
     mid = ~(empty | (xc <= 0.0))
     with np.errstate(divide="ignore"):  # log 0 at the endpoints, overwritten below
         front, lower = _front(x, xc, a, b, ln_norm)
     flip = mid & ~lower
-    flipped = flip.any()
-    if flipped:
-        a, b, x = np.where(flip, b, a), np.where(flip, a, b), np.where(flip, xc, x)
+    a, b, x = np.where(flip, b, a), np.where(flip, a, b), np.where(flip, xc, x)
     # An endpoint runs the fraction at 0, where it stops at once.
     part = front * _betacf_vec(a, b, np.where(mid, x, 0.0)) / a
-    if flipped:
-        part = np.where(flip, 1.0 - part, part)
-    return np.where(mid, part, out)
+    return np.where(mid, np.where(flip, 1.0 - part, part), out)
 
 
 def reg_inc_beta(x: float, a: float, b: float) -> float:

@@ -350,6 +350,8 @@ class TestUsageErrors:
             (["areas", "--dim", "4", "--out", "EXISTING_DIR"], "--out"),
             (["willmore", "--dim", "438"], "--dim"),
             (["areas", "--dim", "438"], "--dim"),
+            (["profile", "--dim", "437"], "--dim"),
+            (["transitions", "--dim", "437"], "--dim"),
         ],
     )
     def test_error_names_the_flag(self, argv, flag, tmp_path):

@@ -48,6 +48,27 @@ class TestTotalVolume:
         with pytest.raises(ValueError):
             total_volume(1)
 
+    def test_last_dimension_with_a_normal_total(self):
+        assert total_volume(436) >= sys.float_info.min
+        for space in Space:
+            with pytest.raises(ValueError, match="ambient_dim must be <= 436"):
+                total_volume(437, space)
+        with pytest.raises(ValueError, match="ambient_dim must be <= 436"):
+            TubeFamily(437, 0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dim", [2, 3, 10, 57, 100, 200, 300, 400, 434, 435, 436])
+    def test_profile_answers_up_to_the_last_dimension(self, dim):
+        # Perimeters are normal at half volume only: at 1e-300 of the total
+        # they are subnormal from dim 57, and near the total from dim 423.
+        # 1e-300 * total itself underflows to 0 from about dim 74.
+        total = total_volume(dim)
+        half = profile_at(dim, 0.5 * total)
+        assert sys.float_info.min <= half.perimeter < math.inf
+        assert profile_at(dim, math.nextafter(total, 0.0)).best_k == dim - 1
+        if 1e-300 * total > 0.0:
+            assert profile_at(dim, 1e-300 * total).best_k == 0
+
 
 class TestTubeFamily:
     def test_core_dimension_bounds(self):
@@ -318,15 +339,21 @@ class TestRadiusTails:
     def test_float_and_array_drivers_agree(self, size, monkeypatch):
         # Batches under _FLOAT_BELOW elements solve on floats, larger ones
         # on arrays.  Batches of `size` with mixed rows equal the array
-        # driver's and each element's own float solve bit for bit, for every
-        # row of n = 1..40 over y log-uniform in [1e-300, 1/2]: answers that
-        # are the asymptote, starts below a row's first positive node, and
-        # table starts.  Upper tails up to nextafter(1, 0) go through
-        # _radii_for_fractions.  With a one-step budget both drivers raise
-        # the same error, or return the same doubles.
+        # driver's, run with _FLOAT_BELOW set to 0, and each element's own
+        # float solve bit for bit, for every row of n = 1..40 over y
+        # log-uniform in [1e-300, 1/2]: answers that are the asymptote,
+        # starts below a row's first positive node, and table starts.  Upper
+        # tails up to nextafter(1, 0) go through _radii_for_fractions.  With
+        # a one-step budget both drivers raise the same error, or return the
+        # same doubles.
         assert profile._FLOAT_BELOW == 32
         rng = np.random.default_rng(size)
-        invert, batch = profile._invert_lower_fraction, profile._invert_batch
+        invert = profile._invert_lower_fraction
+
+        def batch(n, row, y):
+            with monkeypatch.context() as patch:
+                patch.setattr(profile, "_FLOAT_BELOW", 0)
+                return invert(n, row, y)
 
         def outcome(solve, n, row, y):
             try:
