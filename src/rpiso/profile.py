@@ -20,25 +20,26 @@ with I the regularized incomplete beta, which is also what the direct
 integral (1/2) |S^k| |S^(n-k)| cossin_integral(k, n-k, r) evaluates to.
 Every volume inversion goes through one solve, with one tube family per
 element, so radius_for_volume, profile_at and profile_curve agree bit for
-bit, whatever else shares a batch.  A batch of fewer than _FLOAT_BELOW
-(32) elements (one radius, the n + 1 families of profile_at, each step of
-the 2n handoff solves up to dimension 16) runs it one element at a time on
-floats, through the float incomplete beta, and a larger one on arrays,
-through the batched one, with the arithmetic shared and the same doubles
-out; tests check that equality.  That solve is a bracketed Halley iteration
-on the log of the volume fraction, or of its complement above half volume,
-so radii keep their relative accuracy in both tails.  It stops on a
-relative step of 1e-14, or one evaluation earlier once Halley's error
-estimate for the step is below 1e-15 relative.  Above half volume the
-tube of family k is the complement of a tube of the mirror family n - k, so
-every element inverts the lower fraction of one family j in 0..n, and starts
-from row j of a table of the inverse cached per dimension, so on the
-profile grids most solves stop after their first evaluation: about 1.1
-incomplete beta evaluations per radius, or 1.2 counting the table builds of
-a cold cache.  Such a tube is also evaluated through its complement, the
-mirror shape at the latitude s = pi/2 - r that the solve returns, so
-perimeters keep their relative accuracy up to the last double below the
-total.
+bit, whatever else shares a batch.  Its start and its step are written once
+for floats and arrays.  A float, or a batch of fewer than _FLOAT_BELOW (32)
+elements (the n + 1 families of profile_at, each step of the 2n handoff
+solves up to dimension 16), runs them one element at a time on floats, and
+a larger batch on arrays.  Only the incomplete beta's continued fraction,
+the start's interval search and how a finished element retires are written
+twice, so tests check that both return the same doubles.  That solve is a
+bracketed Halley iteration on the log of the volume fraction, or of its
+complement above half volume, so radii keep their relative accuracy in both
+tails.  It stops on a relative step of 1e-14, or one evaluation earlier
+once Halley's error estimate for the step is below 1e-15 relative.  Above
+half volume the tube of family k is the complement of a tube of the mirror
+family n - k, so every element inverts the lower fraction of one family j
+in 0..n, and starts from row j of a table of the inverse cached per
+dimension, so on the profile grids most solves stop after their first
+evaluation: about 1.1 incomplete beta evaluations per radius, or 1.2
+counting the table builds of a cold cache.  Such a tube is also evaluated
+through its complement, the mirror shape at the latitude s = pi/2 - r that
+the solve returns, so perimeters keep their relative accuracy up to the
+last double below the total.
 
 The envelope solves only the families that can be lowest.  Each P_k is
 concave in v, since dP/dV = n H and the mean curvature H decreases as the
@@ -186,7 +187,13 @@ def total_volume(ambient_dim: int, space: Space = Space.PROJECTIVE) -> float:
     """Volume of the ambient space: |S^d| for the sphere, half for RP^d,
     for 2 <= d <= _MAX_DIM (436), where the RP^d total is a normal double."""
     _check_int("ambient_dim", ambient_dim, 2, _MAX_DIM)
-    return _cover(space) * (0.5 * sphere_area(ambient_dim))
+    return _cover(space) * _rp_total(ambient_dim)
+
+
+@functools.lru_cache(maxsize=None)
+def _rp_total(ambient_dim: int) -> float:
+    """Half of |S^d|, memoised: a pure function of d, so it changes nothing."""
+    return 0.5 * sphere_area(ambient_dim)
 
 
 def _cover(space: Space) -> float:
@@ -238,33 +245,39 @@ def tube_perimeter(fam: TubeFamily, r: float | np.ndarray) -> float | np.ndarray
 def radius_for_volume(fam: TubeFamily, v: float) -> float:
     """Latitude whose tube encloses volume v, for v in (0, total) and at
     least sys.float_info.min (2.2e-308) of the total, else ValueError: the
-    batched solve on one element.  The radius is correctly rounded, so
+    solve's float element.  The radius is correctly rounded, so
     within ulp/2 of the total, where the mirror latitude pi/2 - r is below
     ulp(pi/2)/2, it is exactly pi/2 (for TubeFamily(10, 0) at
     nextafter(total, 0), say), and tube_perimeter refuses it; profile_at
     evaluates the perimeter through the mirror latitude and keeps it."""
     rp_v, total = _rp_volume(fam.ambient_dim, float(v), fam.space)
-    return float(_radii_for_fractions(fam.n, fam.k, np.array([rp_v]), total)[0])
+    return float(_radii_for_fractions(fam.n, fam.k, rp_v, total))
 
 
-def _radii_for_fractions(
-    n: int, k: int | np.ndarray, v_frac: np.ndarray, total: float = 1.0
-) -> np.ndarray:
+def _radii_for_fractions(n: int, k, v_frac, total: float = 1.0):
     """Latitudes enclosing the volumes v_frac, each in (0, total), of tube
-    family k: an int, or an int array with one family per element.  With
-    the default total they are volume fractions."""
-    y, upper = _split(np.asarray(v_frac, dtype=float), total)
-    t = _invert_lower_fraction(n, np.where(upper, n - k, k), y)
-    return np.where(upper, _HALF_PI - t, t)
+    family k: an int and a float or an array, or an int array with one
+    family per element.  With the default total they are volume fractions."""
+    y, upper = _split(v_frac, total)
+    t = _invert_lower_fraction(n, _where(upper, n - k, k), y)
+    return _where(upper, _HALF_PI - t, t)
 
 
-def _split(v: np.ndarray, total: float) -> tuple[np.ndarray, np.ndarray]:
-    """(y, upper) for volumes v in (0, total): upper marks v / total > 1/2,
-    and y is v / total below that and (total - v) / total above, where the
-    difference is exact, so the complement keeps its relative accuracy."""
+def _split(v, total: float) -> tuple:
+    """(y, upper) for volumes v in (0, total), a float or an array: upper
+    marks v / total > 1/2, and y is v / total below that and (total - v) /
+    total above, where the difference is exact, so it keeps its accuracy."""
     frac = v / total
     upper = frac > 0.5
-    return np.where(upper, (total - v) / total, frac), upper
+    return _where(upper, (total - v) / total, frac), upper
+
+
+def _where(cond, a, b):
+    """np.where(cond, a, b) on an array condition, and a plain conditional
+    on a scalar one, so that floats stay floats, not 0-d arrays."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, a, b)
+    return a if cond else b
 
 
 @functools.lru_cache(maxsize=64)
@@ -276,7 +289,7 @@ def _start_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     latitudes t of _START_NODES, the complex search keys j + i log I and
     the slopes d log t / d log I = I / (t I') of the inverse.  A node whose
     I underflows has log I = -inf, and one whose slope overflows (the high
-    rows from dimension 236 on) an infinite slope; _table_start starts
+    rows from dimension 236 on) an infinite slope; _start starts
     neither from them.  All rows come from one _betainc_xc_vec call on the
     first touch of a dimension, since every envelope and handoff call needs
     all rows: about 10 ms at dimension 150 against about 1.4 ms for one row
@@ -312,7 +325,8 @@ def _asymptote(n: int, root, scale) -> tuple:
     relative since (p + q) t^2 < 1e-16.  Floats or arrays; root is np.power
     with an exponent array, since a float exponent of 1/2 takes a
     square-root path that rounds differently."""
-    t = np.minimum(root * scale, 1.2)
+    t = root * scale
+    t = _where(t > 1.2, 1.2, t)
     return t, (t > 0.0) & (0.5 * (n + 2) * t * t < 1e-16)
 
 
@@ -327,27 +341,40 @@ def _hermite(u, u0, u1, l0, l1, m0, m1):
     return log_t + x * x * (3.0 - 2.0 * x) * l1 + x * x * x1 * h * m1
 
 
-def _table_start(
-    keys: np.ndarray, slopes: np.ndarray, row: np.ndarray, y: np.ndarray
-) -> np.ndarray:
-    """Start latitudes for the lower fraction I_{sin^2 t}(p, q) = y of
-    mirror family row[i], from the flattened search keys and slopes of
-    _start_table: _hermite on the interval that holds log y, or the last
-    one above the last node, clipped into (0, pi/2).  NaN below the first
-    node whose I is positive, and where _hermite is not finite.  Each
-    element's start depends only on its own y and row."""
+def _start(n: int, row, y, scale, keys, slopes) -> tuple:
+    """(t, exact, table) for I_{sin^2 t}(p, q) = y of mirror family row in
+    dimension n, from the scales, keys and slopes of _start_table: the start
+    latitude, whether it is the asymptote and already the answer
+    (_asymptote), and whether the row's table gives it: at or above the
+    row's first node, where _hermite on the interval holding log y (or the
+    last one) is finite, clipped into (0, pi/2); else it is the asymptote
+    capped at 1.2.  An int and a float, or arrays.  The one type branch is
+    the interval search, a searchsorted over all rows' keys (sorted by row,
+    then log y) or a bisection within the row, with the asymptote's root,
+    whose exponent is an array (see _asymptote)."""
     u = np.log(y)
     size = _START_NODES.size
-    # One search over all rows: the keys sort by row, then by log y.
-    pos = np.searchsorted(keys, row + 1j * u, side="right") - row * size
-    i = np.clip(pos - 1, 0, size - 2)
-    at = row * size + i
+    first = row * size
     log_y = keys.imag
+    if isinstance(y, np.ndarray):
+        root = np.power(y, 1.0 / (n + 1 - row))  # y^(1/(2p))
+        pos = np.searchsorted(keys, row + 1j * u, side="right") - first
+        i = np.clip(pos - 1, 0, size - 2)
+    else:
+        root = np.power(y, np.array([1.0 / (n + 1 - row)]))[0]
+        pos = bisect.bisect_right(log_y, u, first, first + size) - first
+        i = min(max(pos - 1, 0), size - 2)
+    t, exact = _asymptote(n, root, scale[row])
+    at = first + i
     log_t = _hermite(
         u, log_y[at], log_y[at + 1], _LOG_NODES[i], _LOG_NODES[i + 1], slopes[at], slopes[at + 1]
     )
-    t = np.clip(np.exp(log_t), sys.float_info.min, _T_MAX)
-    return np.where((pos > 0) & np.isfinite(log_t), t, np.nan)
+    # At or above the row's first node (pos > 0), and finite.
+    table = (log_y[first] <= u) & (abs(log_t) < math.inf)
+    start = np.exp(log_t)
+    start = _where(start < sys.float_info.min, sys.float_info.min, start)
+    start = _where(start > _T_MAX, _T_MAX, start)
+    return _where(exact, t, _where(table, start, t)), exact, table
 
 
 def _halley(pm, j, s, c, frac, y, ln_beta) -> tuple:
@@ -361,22 +388,39 @@ def _halley(pm, j, s, c, frac, y, ln_beta) -> tuple:
     return newton, curv, newton / (1.0 + 0.5 * newton * curv)
 
 
-def _unconverged(n: int, rows: list[int]) -> RuntimeError:
-    return RuntimeError(
-        f"volume Halley solve not converged after {_MAX_RADIUS_STEPS} steps "
-        f"in dimension n={n} for mirror families j={sorted(set(rows))}"
+def _step(n: int, j, y, t, lo, hi, ln_beta, ln_norm) -> tuple:
+    """(done, t + step, next t, lo, hi): one bracketed Halley step at the
+    latitude t in [lo, hi] for the lower fraction y of mirror family j, with
+    that row's ln_beta = log B(p, q) and ln_norm = log(1 / B(p, q)).  An int
+    and floats, on the float incomplete beta, or arrays, on the batched one."""
+    pm = n - j
+    s = np.sin(t)
+    c = np.cos(t)
+    betainc = _betainc_xc_vec if isinstance(t, np.ndarray) else _betainc_xc
+    frac = betainc(s * s, c * c, 0.5 * (pm + 1), 0.5 * (j + 1), ln_norm)
+    newton, curv, step = _halley(pm, j, s, c, frac, y, ln_beta)
+    step = _where(abs(step) < math.inf, step, newton)
+    below = frac < y
+    lo, hi = _where(below, (t, hi), (lo, t))
+    new = t + step
+    inside = (new > lo) & (new < hi)
+    size = abs(step)
+    done = (size <= _RADIUS_RTOL * t) | (
+        inside & (size <= _HALLEY_RTOL * t) & (abs(step * curv) <= _HALLEY_RTOL)
     )
+    return done, new, _where(inside, new, 0.5 * (lo + hi)), lo, hi
 
 
-def _invert_lower_fraction(n: int, row: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _invert_lower_fraction(n: int, row, y):
     """Latitudes t in (0, pi/2) with I_{sin^2 t}(p, q) = y, for y in (0, 1/2],
     where element i belongs to the mirror family j = row[i] of dimension n:
     p = (n - j + 1)/2 and q = (j + 1)/2, so 2p - 1 = n - j and 2q - 1 = j
-    exactly, and p + q = (n + 2)/2.  Tube family k at a volume fraction up
-    to 1/2 is row j = k at y = that fraction, and t is its latitude r.
-    Above half it is the mirror row j = n - k at the complement fraction,
-    and t is s = pi/2 - r, which solves I_{sin^2 s}((k + 1)/2,
-    (n - k + 1)/2) = y: so both tails keep their relative accuracy.
+    exactly, and p + q = (n + 2)/2; an int row and a float y give a float.
+    Tube family k at a volume fraction up to 1/2 is row j = k at y = that
+    fraction, and t is its latitude r.  Above half it is the mirror row
+    j = n - k at the complement fraction, and t is s = pi/2 - r, which
+    solves I_{sin^2 s}((k + 1)/2, (n - k + 1)/2) = y: so both tails keep
+    their relative accuracy.
 
     Bracketed Halley iteration (rtsafe, Numerical Recipes 9.4, with a
     third-order step) on f = log I_{sin^2 t}(p, q) - log y.  Its slope is
@@ -384,120 +428,73 @@ def _invert_lower_fraction(n: int, row: np.ndarray, y: np.ndarray) -> np.ndarray
     f''/f' = (2p - 1) cot t - (2q - 1) tan t - I'/I, so the Halley step
     newton / (1 + newton f''/(2 f')) costs a few operations over Newton's
     (_halley); where it is not finite, the Newton step is taken.  An
-    element whose small-radius asymptote is already exact takes it as the
-    answer (_asymptote); that also covers the fractions for which sin^2 t
-    underflows.  Every other element starts from its row of the
-    dimension's _start_table (_hermite), or, below the row's first
-    positive node and wherever the table gives nothing finite, from the
-    asymptote capped at 1.2.  The tables are memoised by a bounded
-    lru_cache, which only saves rebuilding a pure function of n, so it can
-    change no result; each element's start depends only on its own
-    (y, row).  It then keeps its own bracket inside [0, pi/2] and bisects
-    only when a step leaves it.  An element is done with t + step once the
-    step moves t by at most _RADIUS_RTOL * t, or, without a confirming
-    evaluation, once t + step lies in the bracket and |step| / t and
-    |step f''/f'| are both at most _HALLEY_RTOL, which puts Halley's error
-    estimate |step| (step f''/f')^2 below 1e-15 t.  The first test skips
-    the bracket test, since a converged step may land on a bracket end.
-    Raises RuntimeError, naming the mirror families left, when an element
-    is not done after _MAX_RADIUS_STEPS steps.
+    element starts from _start: the small-radius asymptote, the answer
+    where it is already exact (also where sin^2 t underflows), or a start
+    from the dimension's _start_table.  It keeps its own bracket inside
+    [0, pi/2] and bisects only when a step leaves it (_step).  It is done
+    with t + step once the step moves t by at most _RADIUS_RTOL * t, or,
+    without a confirming evaluation, once t + step lies in the bracket and
+    |step| / t and |step f''/f'| are both at most _HALLEY_RTOL, which puts
+    Halley's error estimate |step| (step f''/f')^2 below 1e-15 t.  The
+    first test skips the bracket test, since a converged step may land on a
+    bracket end.  Raises RuntimeError, naming the mirror families left, when
+    an element is not done after _MAX_RADIUS_STEPS steps.
 
-    The arithmetic above is written once and the loop control twice, as
-    for the incomplete beta: a batch of fewer than _FLOAT_BELOW elements
-    is solved one element at a time on floats (_invert_one), where numpy's
-    per-call overhead would cost more than the arithmetic.  A larger one
-    runs on arrays below: every element steps at once, and the loop drops
-    elements from its state only on the steps where some finish.  Both
-    return the same doubles and raise the same error, which the tests
-    check bit for bit.
+    _start and _step take floats or arrays; the drivers differ only in how
+    a finished element retires.  A float, or a batch of fewer than
+    _FLOAT_BELOW elements, where numpy's per-call overhead outweighs the
+    arithmetic, runs one element at a time (_invert_one), which returns once
+    done; a larger batch steps all its elements at once on arrays and drops
+    the finished ones.  The continued fraction (_betacf, _betacf_vec) and
+    the interval search are still written twice, so the tests check that
+    the drivers return the same doubles and raise the same error.
     """
-    if y.size < _FLOAT_BELOW:
-        rows = row.tolist()
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = [_invert_one(n, j, v) for j, v in zip(rows, y.tolist())]
-        if None in out:
-            raise _unconverged(n, [j for j, t in zip(rows, out) if t is None])
-        return np.array(out, dtype=float)
-    ln_beta, ln_norm, scale, keys, slopes = _start_table(n)
-    p = 0.5 * (n + 1 - row)
-    t, exact = _asymptote(n, np.power(y, 0.5 / p), scale[row])
-    out = np.where(exact, t, np.nan)
-    idx = np.nonzero(~exact)[0]
-    t, y, row = t[idx], y[idx], row[idx]
-    lo = np.zeros(idx.shape)
-    hi = np.full(idx.shape, _HALF_PI)
-    steps = 0
+    batch = isinstance(y, np.ndarray)
     # A fraction that underflows to 0 gives a NaN step, which bisects.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        start = _table_start(keys, slopes, row, y)
-        t = np.where(np.isnan(start), t, start)
-        while idx.size:
-            if steps == _MAX_RADIUS_STEPS:
-                raise _unconverged(n, row.tolist())
-            steps += 1
-            pm = n - row
-            s = np.sin(t)
-            c = np.cos(t)
-            frac = _betainc_xc_vec(s * s, c * c, 0.5 * (pm + 1), 0.5 * (row + 1), ln_norm[row])
-            newton, curv, step = _halley(pm, row, s, c, frac, y, ln_beta[row])
-            step = np.where(np.isfinite(step), step, newton)
-            below = frac < y
-            lo = np.where(below, t, lo)
-            hi = np.where(below, hi, t)
-            new = t + step
-            inside = (new > lo) & (new < hi)
-            size = np.abs(step)
-            done = (size <= _RADIUS_RTOL * t) | (
-                inside & (size <= _HALLEY_RTOL * t) & (np.abs(step * curv) <= _HALLEY_RTOL)
-            )
-            t = np.where(inside, new, 0.5 * (lo + hi))
-            if done.any():
-                out[idx[done]] = new[done]
-                keep = ~done
-                idx, t, y, lo, hi, row = (v[keep] for v in (idx, t, y, lo, hi, row))
+        if not batch or y.size < _FLOAT_BELOW:
+            rows, ys = (row.tolist(), y.tolist()) if batch else ([row], [y])
+            out = [_invert_one(n, j, v) for j, v in zip(rows, ys)]
+            left = [j for j, t in zip(rows, out) if t is None]
+            out = np.array(out, dtype=float) if batch else out[0]
+        else:
+            ln_beta, ln_norm, *table = _start_table(n)
+            t, exact, _ = _start(n, row, y, *table)
+            out = np.where(exact, t, np.nan)
+            idx = np.flatnonzero(~exact)
+            t, y, row = t[idx], y[idx], row[idx]
+            lo, hi = np.zeros(idx.size), np.full(idx.size, _HALF_PI)
+            ln_beta, ln_norm = ln_beta[row], ln_norm[row]
+            for _ in range(_MAX_RADIUS_STEPS):
+                if not idx.size:
+                    break
+                done, new, t, lo, hi = _step(n, row, y, t, lo, hi, ln_beta, ln_norm)
+                if done.any():
+                    out[idx[done]] = new[done]
+                    state = idx, t, y, lo, hi, row, ln_beta, ln_norm
+                    idx, t, y, lo, hi, row, ln_beta, ln_norm = (v[~done] for v in state)
+            left = row.tolist()
+    if left:
+        raise RuntimeError(
+            f"volume Halley solve not converged after {_MAX_RADIUS_STEPS} steps "
+            f"in dimension n={n} for mirror families j={sorted(set(left))}"
+        )
     return out
 
 
 def _invert_one(n: int, j: int, y: float) -> float | None:
-    """The float driver of _invert_lower_fraction on one element, of
-    mirror family j; None when it is not done after _MAX_RADIUS_STEPS
-    steps."""
-    ln_beta, ln_norm, scale, keys, slopes = _start_table(n)
-    p = 0.5 * (n + 1 - j)
-    t, exact = _asymptote(n, np.power(y, np.array([0.5 / p]))[0], scale[j])
+    """The float driver of _invert_lower_fraction on one element, of mirror
+    family j; None when it is not done after _MAX_RADIUS_STEPS steps."""
+    ln_beta, ln_norm, *table = _start_table(n)
+    t, exact, _ = _start(n, j, y, *table)
     if exact:
         return t
-    # _table_start on one element, with the search confined to row j.
-    u = np.log(y)
-    nodes = _START_NODES.size
-    log_y = keys.imag
-    pos = bisect.bisect_right(log_y, u, j * nodes, (j + 1) * nodes) - j * nodes
-    if pos > 0:
-        i = min(pos - 1, nodes - 2)
-        at = j * nodes + i
-        ends = log_y[at], log_y[at + 1], _LOG_NODES[i], _LOG_NODES[i + 1]
-        log_t = _hermite(u, *ends, slopes[at], slopes[at + 1])
-        if math.isfinite(log_t):
-            t = min(max(np.exp(log_t), sys.float_info.min), _T_MAX)
-    pm = n - j
-    a, b = 0.5 * (pm + 1), 0.5 * (j + 1)
-    ln_beta, ln_norm = ln_beta[j], ln_norm[j]
     lo, hi = 0.0, _HALF_PI
+    ln_beta, ln_norm = ln_beta[j], ln_norm[j]
     for _ in range(_MAX_RADIUS_STEPS):
-        s, c = np.sin(t), np.cos(t)
-        frac = _betainc_xc(s * s, c * c, a, b, ln_norm)
-        newton, curv, step = _halley(pm, j, s, c, frac, y, ln_beta)
-        if not math.isfinite(step):
-            step = newton
-        lo, hi = (t, hi) if frac < y else (lo, t)
-        new = t + step
-        inside = lo < new < hi
-        size = abs(step)
-        if size <= _RADIUS_RTOL * t or (
-            inside and size <= _HALLEY_RTOL * t and abs(step * curv) <= _HALLEY_RTOL
-        ):
+        done, new, t, lo, hi = _step(n, j, y, t, lo, hi, ln_beta, ln_norm)
+        if done:
             return new
-        t = new if inside else 0.5 * (lo + hi)
     return None
 
 

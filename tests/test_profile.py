@@ -24,6 +24,7 @@ from rpiso.profile import (
     tube_perimeter,
     tube_volume,
 )
+from rpiso.specfn import sphere_area
 from rpiso.spectrum import stability_interval
 
 
@@ -55,6 +56,20 @@ class TestTotalVolume:
                 total_volume(437, space)
         with pytest.raises(ValueError, match="ambient_dim must be <= 436"):
             TubeFamily(437, 0)
+
+    def test_cached_total_still_checks_its_argument(self):
+        # The RP total is memoised per dimension behind _check_int, so a
+        # cached d lets neither a float nor a bool through.
+        total_volume(3)
+        for bad in (3.0, True):
+            with pytest.raises(ValueError, match="ambient_dim must be an integer"):
+                total_volume(bad)
+
+    def test_cached_total_is_half_the_sphere(self):
+        for _ in range(2):  # cold, then cached
+            for dim in range(2, 437):
+                assert total_volume(dim) == 0.5 * sphere_area(dim)
+                assert total_volume(dim, Space.SPHERE_ANTIPODAL) == 2.0 * (0.5 * sphere_area(dim))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("dim", [2, 3, 10, 57, 100, 200, 300, 400, 434, 435, 436])
@@ -367,11 +382,8 @@ class TestRadiusTails:
             y = np.exp(rng.uniform(math.log(1e-300), math.log(0.5), row.size))
             _, _, scale, keys, slopes = profile._start_table(n)
             with np.errstate(all="ignore"):
-                root = np.power(y, 0.5 / (0.5 * (n + 1 - row)))
-                _, exact = profile._asymptote(n, root, scale[row])
-                start = profile._table_start(keys, slopes, row, y)
-            table = np.isfinite(start[~exact])
-            kinds += exact.sum(), table.size - table.sum(), table.sum()
+                _, exact, table = profile._start(n, row, y, scale, keys, slopes)
+            kinds += exact.sum(), (~exact & ~table).sum(), (~exact & table).sum()
             each = [invert(n, row[i : i + 1], y[i : i + 1])[0] for i in range(row.size)]
             assert batch(n, row, y).tolist() == each
             parts = [slice(i, i + size) for i in range(0, row.size, size)]
@@ -396,6 +408,37 @@ class TestRadiusTails:
         total = total_volume(dim)
         assert profile_at(dim, 1e-15 * total).best_k == 0
         assert profile_at(dim, (1.0 - 1e-15) * total).best_k == dim - 1
+
+    def test_float_entry_equals_the_one_element_batch(self, monkeypatch):
+        # A float fraction goes straight to the float element and comes back
+        # a float, the double of the one-element array call, for every
+        # family below, at and above half volume.  With a one-step budget,
+        # radius_for_volume raises the array call's error on its element.
+        fracs = [1e-300, 1e-9, 0.3, 0.5, 0.7, 1.0 - 1e-12, math.nextafter(1.0, 0.0)]
+        for n in (1, 9, 40):
+            for k in range(n + 1):
+                for f in fracs:
+                    r = profile._radii_for_fractions(n, k, f)
+                    assert isinstance(r, float) and np.ndim(r) == 0
+                    assert r == profile._radii_for_fractions(n, k, np.array([f]))[0]
+
+        def outcome(solve, *args):
+            try:
+                return float(np.reshape(solve(*args), ()))
+            except RuntimeError as exc:
+                return str(exc)
+
+        monkeypatch.setattr(profile, "_MAX_RADIUS_STEPS", 1)
+        raised = 0
+        for n in (1, 9, 40):
+            total = total_volume(n + 1)
+            volumes = [f * total for f in fracs[1:-1]] + [math.nextafter(total, 0.0)]
+            for k in range(n + 1):
+                for v in volumes:
+                    got = outcome(radius_for_volume, TubeFamily(n + 1, k), v)
+                    assert got == outcome(profile._radii_for_fractions, n, k, np.array([v]), total)
+                    raised += isinstance(got, str)
+        assert raised > 0
 
     def test_raises_when_budget_runs_out(self, monkeypatch):
         # With one step allowed, solves that finish on it answer, and those

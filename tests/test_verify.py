@@ -94,6 +94,15 @@ def test_successive_detail_lists_dims():
     assert "3..4" in result.detail
 
 
+@pytest.mark.parametrize("max_dim", [2, 0, 10.0, True])
+def test_successive_refuses_a_size_that_checks_nothing(max_dim):
+    # Below 3 the dims 3..max_dim are empty, and a PASS would check nothing.
+    with pytest.raises(ValueError, match="max_dim must be"):
+        check_successive(max_dim)
+    with pytest.raises(ValueError, match="max_dim must be"):
+        run_all(max_dim=max_dim)
+
+
 HALF_PI = 0.5 * math.pi
 
 
