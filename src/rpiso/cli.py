@@ -86,13 +86,9 @@ def _parse_tolerance(text: str) -> tuple[str, float]:
         raise argparse.ArgumentTypeError(f"expected NAME=VALUE, got {text!r}")
     try:
         value = float(raw)
+        verify_mod._check_tolerance(name, value)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad tolerance value in {text!r}") from exc
-    if not (value > 0.0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(f"tolerance must be positive and finite: {text!r}")
-    if name not in verify_mod.DEFAULT_TOLERANCES:
-        known = ", ".join(sorted(verify_mod.DEFAULT_TOLERANCES))
-        raise argparse.ArgumentTypeError(f"unknown tolerance {name!r}; known names: {known}")
+        raise argparse.ArgumentTypeError(f"bad tolerance {text!r}: {exc}") from None
     return name, value
 
 

@@ -9,8 +9,8 @@ beta0 = cot r - tan r.  With a 1-D array of latitudes, curvature, the
 areas and parallel_jacobian answer per element, equal bit for bit to the
 scalar calls.  The private kernels _area and _mean_curvature behind
 area_sphere and curvature also take int arrays of factor dimensions, one
-shape per element, for callers that evaluate many tube families in one
-batch.
+shape per element, and _area takes |S^n1| |S^n2| from its caller, so a
+caller that evaluates many tube families in one batch keeps one table.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .specfn import _check_int, _log_sphere_area, sphere_area
+from .specfn import _check_int, sphere_area
 
 __all__ = [
     "CliffordShape",
@@ -145,11 +145,14 @@ def curvature(shape: CliffordShape) -> CurvatureData:
     )
 
 
-def _power(x: float | np.ndarray, p: float) -> float | np.ndarray:
-    """x**p by numpy for floats and arrays alike: Python's float power
-    rounds differently from numpy's in about one call in twenty."""
+def _power(x: float | np.ndarray, p) -> float | np.ndarray:
+    """x**p by numpy for floats and arrays alike, and x * x where the int or
+    int array p is 2, as numpy squares for a scalar exponent 2 but not for
+    an array of them; Python's float power rounds differently from numpy's."""
     y = np.power(x, p)
-    return y if isinstance(x, np.ndarray) else float(y)
+    if isinstance(y, np.ndarray):
+        return np.multiply(x, x, out=y, where=p == 2)
+    return float(x * x if p == 2 else y)
 
 
 def _mean_curvature(n1, n2, tan_r, cot_r):
@@ -159,17 +162,11 @@ def _mean_curvature(n1, n2, tan_r, cot_r):
     return (n1 * -tan_r + n2 * cot_r) / (n1 + n2)
 
 
-def _area(n1, n2, cos_r, sin_r):
-    """|S^n1| |S^n2| cos^n1(r) sin^n2(r) per element; the factor dimensions
-    are ints, or int arrays the shape of the latitudes, for which the
-    sphere areas up to the largest dimension are one array pass, equal bit
-    for bit to sphere_area."""
-    if isinstance(n1, np.ndarray):
-        areas = np.exp(_log_sphere_area(np.arange(max(n1.max(), n2.max()) + 1)))
-        a1, a2 = areas[n1], areas[n2]
-    else:
-        a1, a2 = sphere_area(n1), sphere_area(n2)
-    return a1 * a2 * _power(cos_r, n1) * _power(sin_r, n2)
+def _area(areas, n1, n2, cos_r, sin_r):
+    """areas cos^n1(r) sin^n2(r) per element, with areas = |S^n1| |S^n2|
+    from the caller; the factor dimensions are ints, or int arrays the
+    shape of the latitudes."""
+    return areas * _power(cos_r, n1) * _power(sin_r, n2)
 
 
 def area_sphere(shape: CliffordShape) -> float | np.ndarray:
@@ -177,7 +174,8 @@ def area_sphere(shape: CliffordShape) -> float | np.ndarray:
 
         |S^n1| |S^n2| cos^n1(r) sin^n2(r).
     """
-    return _area(shape.n1, shape.n2, shape.cos_r, shape.sin_r)
+    areas = sphere_area(shape.n1) * sphere_area(shape.n2)
+    return _area(areas, shape.n1, shape.n2, shape.cos_r, shape.sin_r)
 
 
 def area_rp(shape: CliffordShape) -> float | np.ndarray:

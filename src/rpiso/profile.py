@@ -68,7 +68,7 @@ import numpy as np
 
 from .clifford import CliffordShape, _area, _mean_curvature, area_rp
 from .specfn import _betainc_xc, _betainc_xc_vec, _check_int, _log_beta_norm
-from .specfn import sphere_area
+from .specfn import _log_sphere_area, sphere_area
 
 __all__ = [
     "Space",
@@ -281,16 +281,17 @@ def _where(cond, a, b):
 
 
 @functools.lru_cache(maxsize=64)
-def _start_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Constants of the radius solve in dimension n, one row per mirror
-    family j = 0..n, whose lower fraction is I(p, q) with p = (n - j + 1)/2
-    and q = (j + 1)/2: the per-row log B(p, q), log(1 / B(p, q)) and start
-    scale (p B(p, q))^(1/(2p)), and, flattened row by row over the
-    latitudes t of _START_NODES, the complex search keys j + i log I and
-    the slopes d log t / d log I = I / (t I') of the inverse.  A node whose
-    I underflows has log I = -inf, and one whose slope overflows (the high
-    rows from dimension 236 on) an infinite slope; _start starts
-    neither from them.  All rows come from one _betainc_xc_vec call on the
+def _start_table(n: int) -> tuple[np.ndarray, ...]:
+    """Constants of the tubes in dimension n, one row per mirror family
+    j = 0..n, whose lower fraction is I(p, q) with p = (n - j + 1)/2 and
+    q = (j + 1)/2: the per-row |S^j| |S^(n - j)|, as sphere_area gives them,
+    which _tubes reads, log B(p, q), log(1 / B(p, q)) and start scale
+    (p B(p, q))^(1/(2p)), and, flattened row by row over the latitudes t of
+    _START_NODES, the complex search keys j + i log I and the slopes
+    d log t / d log I = I / (t I') of the inverse.  A node whose I
+    underflows has log I = -inf, and one whose slope overflows (the high
+    rows from dimension 236 on) an infinite slope; _start starts neither
+    from them.  All rows come from one _betainc_xc_vec call on the
     first touch of a dimension, since every envelope and handoff call needs
     all rows: about 10 ms at dimension 150 against about 1.4 ms for one row
     (Intel Xeon, numpy 2.4).  A pure function of n, memoised: the cache can
@@ -298,6 +299,7 @@ def _start_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     j = np.arange(n + 1)
     p = 0.5 * (n + 1 - j)
     q = 0.5 * (j + 1)
+    areas = np.exp(_log_sphere_area(j))
     ln_beta, ln_norm = _log_beta_norm(p, q)
     scale = np.exp(0.5 * (np.log(p) + ln_beta) / p)
     s = np.sin(_START_NODES)
@@ -313,7 +315,7 @@ def _start_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     keys = np.empty(log_y.shape, dtype=complex)
     keys.real = j[:, None]
     keys.imag = log_y
-    tables = ln_beta, ln_norm, scale, keys.ravel(), slopes
+    tables = areas * areas[::-1], ln_beta, ln_norm, scale, keys.ravel(), slopes
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -458,7 +460,7 @@ def _invert_lower_fraction(n: int, row, y):
             left = [j for j, t in zip(rows, out) if t is None]
             out = np.array(out, dtype=float) if batch else out[0]
         else:
-            ln_beta, ln_norm, *table = _start_table(n)
+            _, ln_beta, ln_norm, *table = _start_table(n)
             t, exact, _ = _start(n, row, y, *table)
             out = np.where(exact, t, np.nan)
             idx = np.flatnonzero(~exact)
@@ -485,7 +487,7 @@ def _invert_lower_fraction(n: int, row, y):
 def _invert_one(n: int, j: int, y: float) -> float | None:
     """The float driver of _invert_lower_fraction on one element, of mirror
     family j; None when it is not done after _MAX_RADIUS_STEPS steps."""
-    ln_beta, ln_norm, *table = _start_table(n)
+    _, ln_beta, ln_norm, *table = _start_table(n)
     t, exact, _ = _start(n, j, y, *table)
     if exact:
         return t
@@ -502,7 +504,8 @@ def _tubes(
     n: int, k: np.ndarray, y: np.ndarray, upper: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(perimeter, radius, mean curvature) in RP^(n+1) of tube family k[i]
-    at tail fraction y[i], as _split gives them.  Above half volume family
+    at tail fraction y[i], as _split gives them; below half volume the
+    perimeter is tube_perimeter's bit for bit.  Above half volume family
     k is solved as its mirror row n - k (see _invert_lower_fraction) and
     evaluated through its mirror shape S^(n-k)(cos s) x S^k(sin s), the
     same hypersurface at the solved latitude s = pi/2 - r: its area is the
@@ -513,7 +516,7 @@ def _tubes(
     t = _invert_lower_fraction(n, n1, y)
     c = np.cos(t)
     s = np.sin(t)
-    perimeter = 0.5 * _area(n1, n - n1, c, s)  # area_rp
+    perimeter = 0.5 * _area(_start_table(n)[0][n1], n1, n - n1, c, s)  # area_rp
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         mean = _mean_curvature(n1, n - n1, s / c, c / s)  # infinite at the tiniest latitudes
     return perimeter, np.where(upper, _HALF_PI - t, t), np.where(upper, -mean, mean)

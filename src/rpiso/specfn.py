@@ -94,10 +94,9 @@ class QuadratureError(RuntimeError):
 
 
 # Error control for cossin_integral: a panel is accepted once refining it
-# changes its estimate by at most its share of _QUAD_ABS_TOL, or
-# _QUAD_REL_TOL relative; one still unconverged at bisection depth
-# _QUAD_MAX_DEPTH raises QuadratureError.
-_QUAD_ABS_TOL = 1e-12
+# changes its estimate by at most _QUAD_REL_TOL of itself or its share of
+# _QUAD_REL_TOL times its integral's first estimate, so every tolerance is
+# relative; one still open at depth _QUAD_MAX_DEPTH raises QuadratureError.
 _QUAD_REL_TOL = 1e-12
 _QUAD_MAX_DEPTH = 40
 
@@ -391,12 +390,12 @@ def cossin_integral(
     one shape, one integral per element.  All integrals are refined
     together, level by level: each level evaluates both halves of every
     open panel in one pass, accepts a panel once its halves change its
-    estimate by at most its share of _QUAD_ABS_TOL (halved per level) or
-    _QUAD_REL_TOL relative, and splits the rest.  Each integral is the sum
-    of its accepted panels, added level by level and left to right, so a
-    scalar call, the batch on one element, equals the matching element of
-    any batch bit for bit.  Raises QuadratureError if a panel is still
-    open at depth _QUAD_MAX_DEPTH.
+    estimate by at most _QUAD_REL_TOL of itself or its share (halved per
+    level) of _QUAD_REL_TOL times its integral's first estimate, and splits
+    the rest.  Each integral is the sum of its accepted panels, added level
+    by level and left to right, so a scalar call, the batch on one element,
+    equals the matching element of any batch bit for bit.  Raises
+    QuadratureError if a panel is still open at depth _QUAD_MAX_DEPTH.
     """
     scalar = not isinstance(r, np.ndarray)
     n1, n2, r = _cossin_args(n1, n2, r)
@@ -408,7 +407,7 @@ def cossin_integral(
     a = np.zeros(r.size)
     b = r
     whole = _gl_panels(n1, n2, a, b)
-    tol = _QUAD_ABS_TOL
+    tol = _QUAD_REL_TOL * np.abs(whole)
     depth = 1
     while True:
         # Both halves of every open panel in one pass, the left ones first.
@@ -417,7 +416,7 @@ def cossin_integral(
         left, right = np.split(_gl_panels(np.tile(n1[owner], 2), np.tile(n2[owner], 2), *ends), 2)
         better = left + right
         change = np.abs(better - whole)
-        done = change <= np.maximum(tol, _QUAD_REL_TOL * np.abs(better))
+        done = change <= np.maximum(tol[owner], _QUAD_REL_TOL * np.abs(better))
         np.add.at(out, owner[done], better[done])
         if done.all():
             return float(out[0]) if scalar else out.reshape(shape)

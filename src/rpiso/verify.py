@@ -44,10 +44,18 @@ class CheckResult:
     detail: str
 
 
+def _check_tolerance(name: str, value: float) -> None:
+    """Raise ValueError unless value is positive and finite (NaN fails every
+    check, inf passes it) and name is a key of DEFAULT_TOLERANCES."""
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"tolerance {name!r} must be positive and finite, got {value!r}")
+    if name not in DEFAULT_TOLERANCES:
+        known = ", ".join(sorted(DEFAULT_TOLERANCES))
+        raise ValueError(f"unknown tolerance {name!r}; known names: {known}")
+
+
 def _tol(overrides: dict[str, float] | None, name: str) -> float:
-    if overrides and name in overrides:
-        return overrides[name]
-    return DEFAULT_TOLERANCES[name]
+    return (overrides or {}).get(name, DEFAULT_TOLERANCES[name])
 
 
 def _check(name: str):
@@ -69,10 +77,7 @@ def _check(name: str):
 def check_successive(max_dim: int = 10, samples: int = 2000):
     """Successive handoff of tube families in ambient dims 3..max_dim."""
     specfn._check_int("max_dim", max_dim, 3)
-    failures = []
-    for dim in range(3, max_dim + 1):
-        if not profile.successive_check(dim, samples):
-            failures.append(dim)
+    failures = [d for d in range(3, max_dim + 1) if not profile.successive_check(d, samples)]
     if failures:
         return False, f"failed for ambient dims {failures}"
     return True, f"argmin k nondecreasing and complete for dims 3..{max_dim}, {samples} samples"
@@ -296,10 +301,8 @@ def run_all(
     overrides: dict[str, float] | None = None,
 ) -> list[CheckResult]:
     """Full verification battery, ordered as the criteria are stated."""
-    if overrides:
-        unknown = set(overrides) - set(DEFAULT_TOLERANCES)
-        if unknown:
-            raise ValueError(f"unknown tolerance overrides: {sorted(unknown)}")
+    for name, value in (overrides or {}).items():
+        _check_tolerance(name, value)
     return [
         check_successive(max_dim, samples),
         check_profile_arcs(min(7, max_dim), samples, overrides),

@@ -16,6 +16,7 @@ from conftest import (
     random_shapes,
     random_shapes_with_degenerate,
 )
+from rpiso import clifford
 from rpiso.clifford import (
     CliffordShape,
     area_rp,
@@ -276,6 +277,22 @@ class TestArrayLatitudes:
             )
 
         assert_elementwise(fields, n1, n2)
+
+    def test_power_with_exponent_array_equals_scalar_calls(self):
+        # numpy's power squares exactly only for a scalar exponent 2; the
+        # tube batches pass one exponent per element.
+        rng = np.random.default_rng(23)
+        x = rng.uniform(0.0, 1.0, 6100)
+        p = np.repeat(np.arange(61), 100)
+        got = clifford._power(x, p)
+        each = [clifford._power(v, e) for v, e in zip(x.tolist(), p.tolist())]
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in each]
+        by_exponent = np.concatenate([clifford._power(x[p == e], e) for e in range(61)])
+        assert np.array_equal(got, by_exponent)
+        # Only exponent-2 elements are squared: 1e300 to the first is no overflow.
+        with np.errstate(over="raise"):
+            assert clifford._power(np.array([1e300, 3.0]), np.array([1, 2])).tolist() == [1e300, 9.0]
+            assert clifford._power(1e300, 1) == 1e300
 
     @pytest.mark.parametrize("bad", [0.0, HALF_PI, -0.2, 2.0, math.nan, math.inf])
     def test_rejects_any_element_outside(self, bad):

@@ -33,6 +33,7 @@ from rpiso.profile import (
     tube_volume,
 )
 from rpiso.spectrum import laplace_eigenvalue, stability_interval
+from rpiso.verify import DEFAULT_TOLERANCES
 from rpiso.willmore import energy_minimum
 
 HALF_PI = 0.5 * math.pi
@@ -69,7 +70,7 @@ class TestSphereArea:
             sphere_area(2.0)
 
     def test_array_table_equals_scalar_calls(self):
-        # The table clifford's array areas and energy_minimum read.
+        # The table behind profile._start_table's areas and energy_minimum.
         ds = np.arange(438)
         table = np.exp(specfn._log_sphere_area(ds))
         assert [v.hex() for v in table.tolist()] == [sphere_area(d).hex() for d in ds.tolist()]
@@ -346,7 +347,8 @@ class TestRegIncBeta:
 
 def recursive_cossin_integral(n1: int, n2: int, r: float) -> float:
     """Reference: the depth-first adaptive Gauss-Legendre quadrature, one
-    scalar panel at a time, each split summed as left + right."""
+    scalar panel at a time, each split summed as left + right, with the
+    share of _QUAD_REL_TOL times the first estimate halved per level."""
 
     def panel(a: float, b: float) -> float:
         t = 0.5 * (a + b) + 0.5 * (b - a) * specfn._GL_NODES
@@ -360,7 +362,8 @@ def recursive_cossin_integral(n1: int, n2: int, r: float) -> float:
             return left + right
         return refine(a, mid, left, 0.5 * tol) + refine(mid, b, right, 0.5 * tol)
 
-    return refine(0.0, r, panel(0.0, r), specfn._QUAD_ABS_TOL)
+    whole = panel(0.0, r)
+    return refine(0.0, r, whole, specfn._QUAD_REL_TOL * abs(whole))
 
 
 class TestCossinIntegral:
@@ -443,6 +446,22 @@ class TestCossinIntegral:
                 )
                 assert abs(val - float(ref)) <= 1e-13 * abs(ref), (a, b, t, val, ref)
 
+    def test_integrals_far_below_one_keep_their_relative_accuracy(self):
+        # Integrals far below 1, where an absolute tolerance stops too early.
+        # The reference is mpmath's incomplete beta, (1/2) B_{sin^2 r}((n2 +
+        # 1)/2, (n1 + 1)/2) at 40 digits: mpmath.quad on 64 subintervals is
+        # itself 3.3e-11 off at (7, 90, 0.05), whose integrand is a
+        # polynomial in sin t with a known antiderivative.
+        mpmath = pytest.importorskip("mpmath")
+        cases = [(0, 200, 1.0), (200, 200, 1.5), (7, 90, 0.05), (0, 80, 0.5), (2, 60, 0.3), (40, 40, 1.0)]
+        n1, n2, r = (np.array(column) for column in zip(*cases))
+        quad = cossin_integral(n1, n2, r.astype(float))
+        with mpmath.workdps(40):
+            for (a, b, t), val in zip(cases, quad.tolist()):
+                x = mpmath.sin(mpmath.mpf(t)) ** 2
+                ref = mpmath.betainc(mpmath.mpf(b + 1) / 2, mpmath.mpf(a + 1) / 2, 0, x) / 2
+                assert abs(val - ref) <= DEFAULT_TOLERANCES["specfn_agree"] * ref, (a, b, t, val)
+
     @pytest.mark.parametrize(
         "n1,n2,r,match",
         [
@@ -505,7 +524,6 @@ class TestCossinIntegral:
             cossin_integral(*args)
         with pytest.raises(QuadratureError, match=r"^cossin_integral\(10, 10, 1.5\): panel"):
             cossin_integral(n1, n2, r)
-        monkeypatch.setattr(specfn, "_QUAD_ABS_TOL", 1e-18)
         monkeypatch.setattr(specfn, "_QUAD_REL_TOL", 1e-18)
         with pytest.raises(QuadratureError):
             cossin_integral(10, 10, 1.5)

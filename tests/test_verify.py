@@ -51,6 +51,14 @@ def test_unknown_override_rejected():
         run_all(max_dim=3, samples=200, overrides={"nope": 1.0})
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0], ids=["nan", "inf", "0", "-1"])
+def test_override_must_be_positive_and_finite(value):
+    # The CLI's --tol refuses these too: NaN fails every comparison and an
+    # infinite tolerance passes its check vacuously.
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        run_all(max_dim=3, samples=200, overrides={"identity": value})
+
+
 def test_override_flips_only_its_check():
     results = run_all(
         max_dim=3, samples=200, overrides={"rp3_perimeter": 1e-18}
