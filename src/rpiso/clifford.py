@@ -11,6 +11,8 @@ scalar calls.  The private kernels _area and _mean_curvature behind
 area_sphere and curvature also take int arrays of factor dimensions, one
 shape per element, and _area takes |S^n1| |S^n2| from its caller, so a
 caller that evaluates many tube families in one batch keeps one table.
+curvature's norm_sq is the kernel _norm_sq, which spectrum's stability
+report calls without building the whole curvature record.
 """
 
 from __future__ import annotations
@@ -129,19 +131,14 @@ def curvature(shape: CliffordShape) -> CurvatureData:
     sin r factor."""
     tan = shape.sin_r / shape.cos_r
     cot = shape.cos_r / shape.sin_r
-    kappa1 = -tan
-    kappa2 = cot
-    mean = _mean_curvature(shape.n1, shape.n2, tan, cot)
-    norm_sq = shape.n1 * kappa1 * kappa1 + shape.n2 * kappa2 * kappa2
-    beta = tan - cot
     return CurvatureData(
-        kappa1=kappa1,
+        kappa1=-tan,
         mult1=shape.n1,
-        kappa2=kappa2,
+        kappa2=cot,
         mult2=shape.n2,
-        mean=mean,
-        norm_sq=norm_sq,
-        beta=beta,
+        mean=_mean_curvature(shape.n1, shape.n2, tan, cot),
+        norm_sq=_norm_sq(shape.n1, shape.n2, tan, cot),
+        beta=tan - cot,
     )
 
 
@@ -160,6 +157,13 @@ def _mean_curvature(n1, n2, tan_r, cot_r):
     cot r; the factor dimensions are ints, or int arrays that broadcast
     against the latitudes."""
     return (n1 * -tan_r + n2 * cot_r) / (n1 + n2)
+
+
+def _norm_sq(n1, n2, tan_r, cot_r):
+    """|A|^2 = n1 tan^2 r + n2 cot^2 r per element, the squared norm of the
+    second fundamental form; the same doubles as n1 kappa1^2 + n2 kappa2^2,
+    since negating kappa1 = -tan r rounds nothing."""
+    return n1 * tan_r * tan_r + n2 * cot_r * cot_r
 
 
 def _area(areas, n1, n2, cos_r, sin_r):

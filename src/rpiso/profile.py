@@ -206,11 +206,11 @@ def _rp_volume(ambient_dim: int, v: float, space: Space) -> tuple[float, float]:
     """The volume v of the given space in RP^d units, once it is checked to
     lie in (0, total) at an RP^d fraction of at least sys.float_info.min,
     and the RP^d total."""
-    rp_total = total_volume(ambient_dim)
-    total = _cover(space) * rp_total
+    total = total_volume(ambient_dim, space)  # checks ambient_dim and space
     if not (0.0 < v < total):
         raise ValueError(f"volume must lie in (0, {total}), got {v}")
-    rp_v = v / _cover(space)
+    rp_total = _rp_total(ambient_dim)
+    rp_v = v / _COVER[space]
     if rp_v / rp_total < sys.float_info.min:
         raise ValueError(f"volume must be at least {sys.float_info.min} of {total}, got {v}")
     return rp_v, rp_total
@@ -274,8 +274,10 @@ def _split(v, total: float) -> tuple:
 
 def _where(cond, a, b):
     """np.where(cond, a, b) on an array condition, and a plain conditional
-    on a scalar one, so that floats stay floats, not 0-d arrays."""
-    if isinstance(cond, np.ndarray):
+    on a scalar one, so that floats stay floats, not 0-d arrays.  The float
+    element calls it about a dozen times per solve, so it tests the exact
+    class, at half the cost of isinstance."""
+    if cond.__class__ is np.ndarray:
         return np.where(cond, a, b)
     return a if cond else b
 
@@ -451,14 +453,16 @@ def _invert_lower_fraction(n: int, row, y):
     the interval search are still written twice, so the tests check that
     the drivers return the same doubles and raise the same error.
     """
-    batch = isinstance(y, np.ndarray)
     # A fraction that underflows to 0 gives a NaN step, which bisects.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if not batch or y.size < _FLOAT_BELOW:
-            rows, ys = (row.tolist(), y.tolist()) if batch else ([row], [y])
-            out = [_invert_one(n, j, v) for j, v in zip(rows, ys)]
+        if not isinstance(y, np.ndarray):
+            out = _invert_one(n, row, y)
+            left = [] if out is not None else [row]
+        elif y.size < _FLOAT_BELOW:
+            rows = row.tolist()
+            out = [_invert_one(n, j, v) for j, v in zip(rows, y.tolist())]
             left = [j for j, t in zip(rows, out) if t is None]
-            out = np.array(out, dtype=float) if batch else out[0]
+            out = np.array(out, dtype=float)
         else:
             _, ln_beta, ln_norm, *table = _start_table(n)
             t, exact, _ = _start(n, row, y, *table)
@@ -536,15 +540,18 @@ def _envelope(
     in v: dP/dV = n H, and H decreases as r, and with it v, grows.  So on an
     interval between two volumes a and b, P_k lies above its chord and
     below both its end tangents.  Every family is solved at the nodes,
-    every _NODE_STRIDE-th volume plus the last; raises RuntimeError if some
-    family's slope there does not decrease, since the bounds would then not
-    hold.  Between the nodes, family k is solved at v only when its chord
-    is at most (1 + _PRUNE_MARGIN) times the smallest end tangent of any
-    family, plus 1e-12 of the bounds' largest term for their rounding.  A
-    family skipped at v lies above its chord, and so above the family of
-    that tangent, by more than rounding: strictly above the lowest one, so
-    ties still go to the smallest k.  Each element is solved on its own, so
-    the solved ones equal their entries in the full table.
+    every _NODE_STRIDE-th volume plus the last.  Between the nodes, family
+    k is solved at v only when its chord is at most (1 + _PRUNE_MARGIN)
+    times the smallest end tangent of any family, plus 1e-12 of the bounds'
+    largest term for their rounding.  A family skipped at v lies above its
+    chord, and so above the family of that tangent, by more than rounding:
+    strictly above the lowest one, so ties still go to the smallest k.
+    Each element is solved on its own, so the solved ones equal their
+    entries in the full table.  The bounds are used only when some volume
+    lies between nodes, and only then does it raise RuntimeError if some
+    family's slope does not decrease over the nodes, since the bounds would
+    not hold.  One or two volumes (profile_at's one, say) are all nodes:
+    every family is solved at each, and nothing is bounded or tested.
     """
     n = ambient_dim - 1
     v = np.asarray(volumes, dtype=float)
@@ -553,34 +560,37 @@ def _envelope(
     is_node[::_NODE_STRIDE] = True
     is_node[-1] = True
     nodes = np.flatnonzero(is_node)
+    inner = np.flatnonzero(~is_node)
     # Unsolved entries stay at inf and never win the argmin.
     perims = np.full((n + 1, v.size), np.inf)
     radii = np.zeros((n + 1, v.size))
-    fam = np.repeat(np.arange(n + 1), nodes.size)
-    col = np.tile(nodes, n + 1)
+    # Every family at every node, family by family.
+    fam, col = np.divmod(np.arange((n + 1) * nodes.size), nodes.size)
+    col = nodes[col]
     perims[fam, col], radii[fam, col], mean = _tubes(n, fam, y[col], upper[col])
-    slope = n * mean.reshape(n + 1, nodes.size)
-    with np.errstate(invalid="ignore", over="ignore"):
-        if np.any(np.diff(slope, axis=1) > 1e-9 * np.abs(slope[:, :-1])):
-            raise RuntimeError(
-                f"tube perimeter slopes increase with volume in ambient dimension "
-                f"{ambient_dim}: the perimeters are not concave, so no family can be skipped"
-            )
-        inner = np.flatnonzero(~is_node)
-        right = np.searchsorted(nodes, inner)
-        left = right - 1
-        x, va, vb = v[inner], v[nodes[left]], v[nodes[right]]
-        pa, pb = perims[:, nodes[left]], perims[:, nodes[right]]
-        ta = slope[:, left] * (x - va)
-        tb = slope[:, right] * (x - vb)
-        chord = pa + (pb - pa) * ((x - va) / (vb - va))
-        cap = np.min(np.minimum(pa + ta, pb + tb), axis=0)
-        slack = 1e-12 * np.max(pa + pb + np.abs(ta) + np.abs(tb), axis=0)
-        # NaN or infinite bounds, at the tiniest latitudes, drop nothing.
-        fam, col = np.nonzero(~(chord > (1.0 + _PRUNE_MARGIN) * cap + slack))
-    if col.size:
-        col = inner[col]
-        perims[fam, col], radii[fam, col], _ = _tubes(n, fam, y[col], upper[col])
+    # One or two volumes are all nodes, and no bound is used.
+    if inner.size:
+        slope = n * mean.reshape(n + 1, nodes.size)
+        with np.errstate(invalid="ignore", over="ignore"):
+            if np.any(np.diff(slope, axis=1) > 1e-9 * np.abs(slope[:, :-1])):
+                raise RuntimeError(
+                    f"tube perimeter slopes increase with volume in ambient dimension "
+                    f"{ambient_dim}: the perimeters are not concave, so no family can be skipped"
+                )
+            right = np.searchsorted(nodes, inner)
+            left = right - 1
+            x, va, vb = v[inner], v[nodes[left]], v[nodes[right]]
+            pa, pb = perims[:, nodes[left]], perims[:, nodes[right]]
+            ta = slope[:, left] * (x - va)
+            tb = slope[:, right] * (x - vb)
+            chord = pa + (pb - pa) * ((x - va) / (vb - va))
+            cap = np.min(np.minimum(pa + ta, pb + tb), axis=0)
+            slack = 1e-12 * np.max(pa + pb + np.abs(ta) + np.abs(tb), axis=0)
+            # NaN or infinite bounds, at the tiniest latitudes, drop nothing.
+            fam, col = np.nonzero(~(chord > (1.0 + _PRUNE_MARGIN) * cap + slack))
+        if col.size:
+            col = inner[col]
+            perims[fam, col], radii[fam, col], _ = _tubes(n, fam, y[col], upper[col])
     best = np.argmin(perims, axis=0)
     cols = np.arange(v.size)
     return best, perims[best, cols], radii[best, cols]

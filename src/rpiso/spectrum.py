@@ -10,16 +10,22 @@ The shape is a stable two-sided critical point of area among
 antipodally-symmetric variations iff the first positive even eigenvalue
 is at least n + |A|^2.  A shape with a 1-D array of latitudes gets an
 answer per element, equal bit for bit to the scalar calls.
+
+Each formula is one private kernel, which its public function calls once
+its arguments pass: _eigenvalue, _interval (memoised per factor pair) and
+clifford._norm_sq (curvature's norm_sq).  stability_report calls them
+directly, with no repeated checks and no curvature record.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import CliffordShape, _ArrayFields, curvature
+from .clifford import CliffordShape, _ArrayFields, _norm_sq
 from .specfn import _check_int
 
 __all__ = [
@@ -82,6 +88,11 @@ def laplace_eigenvalue(shape: CliffordShape, k1: int, k2: int) -> float | np.nda
             raise ValueError(
                 f"{name}={value} has no harmonic on a 0-dimensional factor"
             )
+    return _eigenvalue(shape, k1, k2)
+
+
+def _eigenvalue(shape: CliffordShape, k1: int, k2: int) -> float | np.ndarray:
+    """laplace_eigenvalue's formula, for degrees its caller has checked."""
     c = shape.cos_r
     s = shape.sin_r
     return k1 * (k1 + shape.n1 - 1) / (c * c) + k2 * (k2 + shape.n2 - 1) / (s * s)
@@ -96,7 +107,7 @@ def first_even_eigenvalue(shape: CliffordShape) -> EigenMode:
     """
     if shape.n1 < 1 or shape.n2 < 1:
         raise ValueError("first_even_eigenvalue requires n1 >= 1 and n2 >= 1")
-    values = [laplace_eigenvalue(shape, k1, k2) for k1, k2 in _EVEN_CANDIDATES]
+    values = [_eigenvalue(shape, k1, k2) for k1, k2 in _EVEN_CANDIDATES]
     if isinstance(shape.r, np.ndarray):
         # argmin takes the first of equal values, keeping the tie order.
         i = np.argmin(values, axis=0)
@@ -126,16 +137,27 @@ def stability_interval(n1: int, n2: int) -> tuple[float, float]:
     """
     _check_int("n1", n1, 1)
     _check_int("n2", n2, 1)
+    return _interval(n1, n2)
+
+
+@functools.lru_cache(maxsize=1024)
+def _interval(n1: int, n2: int) -> tuple[float, float]:
+    """stability_interval for checked factor dimensions, memoised for the
+    last 1024 pairs: a pure function of two ints, so it changes nothing."""
     lo = math.atan(math.sqrt(n2 / (n1 + 2.0)))
     hi = math.atan(math.sqrt((n2 + 2.0) / n1))
     return lo, hi
 
 
 def stability_report(shape: CliffordShape) -> StabilityReport:
-    """Bundle eigenvalue, margin, verdict, and the stability interval."""
+    """Bundle eigenvalue, margin, verdict, and the stability interval,
+    from the unchecked kernels: the shape checked its factor dimensions
+    when it was built, and first_even_eigenvalue refuses a zero one."""
     mode = first_even_eigenvalue(shape)
-    margin = mode.value - shape.n - curvature(shape).norm_sq
-    lo, hi = stability_interval(shape.n1, shape.n2)
+    c = shape.cos_r
+    s = shape.sin_r
+    margin = mode.value - shape.n - _norm_sq(shape.n1, shape.n2, s / c, c / s)
+    lo, hi = _interval(shape.n1, shape.n2)
     return StabilityReport(
         shape=shape,
         mode=mode,

@@ -3,12 +3,14 @@
 Each check returns a CheckResult with a human-readable detail string; the
 CLI verify command runs them all and conjoins the verdicts.  Checks name
 themselves through _check, the one place a CheckResult is built.
-Tolerances live in DEFAULT_TOLERANCES and can be overridden by name.  Only
-the profile checks take sizes, which the CLI sets; the others run fixed
-grids or seeded draws.  Each sweep over them is one batched pass: the
-quadrature and the closed form of the integrals in one call each, the
-random shapes per (n1, n2) with array latitudes, and the area chains and
-convexity grids of every n in one formula pass each.
+Tolerances live in DEFAULT_TOLERANCES and can be overridden by name;
+_check_tolerance refuses an unknown name or a value that is not positive
+and finite, whether run_all, the CLI or a check called on its own reads
+the override.  Only the profile checks take sizes, which the CLI sets;
+the others run fixed grids or seeded draws.  Each sweep over them is one
+batched pass: the quadrature and the closed form of the integrals in one
+call each, the random shapes per (n1, n2) with array latitudes, and the
+area chains and convexity grids of every n in one formula pass each.
 """
 
 from __future__ import annotations
@@ -54,8 +56,17 @@ def _check_tolerance(name: str, value: float) -> None:
         raise ValueError(f"unknown tolerance {name!r}; known names: {known}")
 
 
+def _checked(overrides: dict[str, float] | None) -> dict[str, float]:
+    """overrides, or {} for None, once _check_tolerance passes every entry."""
+    overrides = overrides or {}
+    for name, value in overrides.items():
+        _check_tolerance(name, value)
+    return overrides
+
+
 def _tol(overrides: dict[str, float] | None, name: str) -> float:
-    return (overrides or {}).get(name, DEFAULT_TOLERANCES[name])
+    """Tolerance name or its override, once every override is checked."""
+    return _checked(overrides).get(name, DEFAULT_TOLERANCES[name])
 
 
 def _check(name: str):
@@ -301,8 +312,7 @@ def run_all(
     overrides: dict[str, float] | None = None,
 ) -> list[CheckResult]:
     """Full verification battery, ordered as the criteria are stated."""
-    for name, value in (overrides or {}).items():
-        _check_tolerance(name, value)
+    _checked(overrides)  # before any check runs
     return [
         check_successive(max_dim, samples),
         check_profile_arcs(min(7, max_dim), samples, overrides),

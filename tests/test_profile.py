@@ -648,6 +648,34 @@ class TestPrunedEnvelope:
         for got, want in zip(envelope, _full_argmin(dim, volumes)):
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("dim", [3, 10, 40])
+    @pytest.mark.parametrize("size", [1, 2, 17, 18])
+    def test_small_batches_equal_full_argmin(self, dim, size):
+        # One or two volumes are all nodes, so _envelope skips the slope
+        # test and the bounds; 17 and 18 put one and two volumes past a
+        # stride, with the bounds in use.  Seeded fractions in both tails.
+        rng = np.random.default_rng(100 * dim + size)
+        tail = np.exp(rng.uniform(math.log(1e-12), math.log(0.5), size))
+        fracs = np.sort(np.where(rng.random(size) < 0.5, tail, 1.0 - tail))
+        volumes = fracs * total_volume(dim)
+        envelope = profile._envelope(dim, volumes, total_volume(dim))
+        for got, want in zip(envelope, _full_argmin(dim, volumes)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dim", [3, 10, 40])
+    def test_profile_at_equals_full_argmin(self, dim):
+        # profile_at's one volume takes the envelope with no bounds at all.
+        rng = np.random.default_rng(dim)
+        total = total_volume(dim)
+        tail = np.exp(rng.uniform(math.log(1e-12), math.log(0.5), 24))
+        volumes = np.where(rng.random(24) < 0.5, tail, 1.0 - tail) * total
+        best, perim, radius = (a.tolist() for a in _full_argmin(dim, volumes))
+        for space in Space:
+            cover = total_volume(dim, space) / total
+            for i, v in enumerate((cover * volumes).tolist()):
+                point = ProfilePoint(v, cover * perim[i], best[i], radius[i])
+                assert profile_at(dim, v, space) == point
+
     @pytest.mark.parametrize("dim", [3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 40])
     def test_handoff_volumes_equal_full_argmin(self, dim):
         # At a handoff two families tie to rounding: both must be solved.

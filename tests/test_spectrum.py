@@ -7,9 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import HALF_PI, assert_elementwise, random_shapes
+from conftest import HALF_PI, LATITUDES, assert_elementwise, random_shapes
 from rpiso.clifford import CliffordShape, curvature
 from rpiso.spectrum import (
+    STABILITY_SLACK,
     first_even_eigenvalue,
     laplace_eigenvalue,
     stability_interval,
@@ -176,6 +177,38 @@ class TestStabilityReport:
         same = stability_report(CliffordShape(2, 3, rs.copy()))
         assert report == same and hash(report) == hash(same)
         assert report != stability_report(CliffordShape(2, 3, rs[:-1]))
+
+    @pytest.mark.parametrize("n1", range(1, 7))
+    def test_equals_the_public_functions_it_replaces(self, n1):
+        # The report runs the unchecked kernels; its doubles are those of the
+        # minimum over laplace_eigenvalue, curvature's norm_sq and
+        # stability_interval, at float and array latitudes.
+        for n2 in range(1, 7):
+            for r in (*LATITUDES[::8].tolist(), LATITUDES):
+                shape = CliffordShape(n1, n2, r)
+                report = stability_report(shape)
+                values = [laplace_eigenvalue(shape, *mode) for mode in ((1, 1), (2, 0), (0, 2))]
+                lambda1 = np.min(values, axis=0) if isinstance(r, np.ndarray) else min(values)
+                margin = lambda1 - shape.n - curvature(shape).norm_sq
+                pairs = (
+                    (report.lambda1, lambda1),
+                    (report.margin, margin),
+                    (report.stable, margin >= -STABILITY_SLACK),
+                )
+                for got, want in pairs:
+                    assert type(got) is type(want)
+                    assert np.array_equal(got, want)
+                assert (report.interval_lo, report.interval_hi) == stability_interval(n1, n2)
+
+    def test_cached_interval_still_checks_its_arguments(self):
+        # The interval is memoised per factor pair behind _check_int, so a
+        # cached (1, 1) lets neither a zero, a float nor a bool through.
+        stability_interval(1, 1)
+        for bad in (0, 1.0, True):
+            with pytest.raises(ValueError, match="n1 must be"):
+                stability_interval(bad, 1)
+            with pytest.raises(ValueError, match="n2 must be"):
+                stability_interval(1, bad)
 
     def test_verdict_tracks_interval(self):
         lo, hi = stability_interval(1, 2)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
@@ -57,6 +58,39 @@ def test_override_must_be_positive_and_finite(value):
     # infinite tolerance passes its check vacuously.
     with pytest.raises(ValueError, match="must be positive and finite"):
         run_all(max_dim=3, samples=200, overrides={"identity": value})
+
+
+# Every check that reads tolerance overrides, with a tolerance it reads.
+OVERRIDE_CHECKS = {
+    check_profile_arcs: "profile_symmetry",
+    check_stability: "endpoint_margin",
+    check_identities: "identity",
+    check_specfn: "specfn_agree",
+    check_willmore_minimum: "willmore_min",
+    check_area_chain: "logf_fd",
+    check_rp3: "rp3_perimeter",
+}
+
+
+def test_override_checks_are_every_check_with_overrides():
+    checks = [getattr(verify, name) for name in dir(verify) if name.startswith("check_")]
+    takes = {c for c in checks if "overrides" in inspect.signature(c).parameters}
+    assert takes == set(OVERRIDE_CHECKS)
+
+
+@pytest.mark.parametrize("check", OVERRIDE_CHECKS, ids=lambda check: check.__name__)
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0], ids=["nan", "inf", "0", "-1"])
+def test_each_check_refuses_a_bad_override(check, value):
+    # Called on its own, a check applies run_all's rule, so NaN cannot
+    # fail it quietly nor inf pass it vacuously.
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        check(overrides={OVERRIDE_CHECKS[check]: value})
+
+
+@pytest.mark.parametrize("check", OVERRIDE_CHECKS, ids=lambda check: check.__name__)
+def test_each_check_refuses_an_unknown_override(check):
+    with pytest.raises(ValueError, match="unknown tolerance 'nope'"):
+        check(overrides={"nope": 1.0})
 
 
 def test_override_flips_only_its_check():
