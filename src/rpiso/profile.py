@@ -61,6 +61,7 @@ import bisect
 import functools
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -506,13 +507,15 @@ def _invert_one(n: int, j: int, y: float) -> float | None:
 
 def _tubes(
     n: int, k: np.ndarray, y: np.ndarray, upper: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(perimeter, radius, mean curvature) in RP^(n+1) of tube family k[i]
-    at tail fraction y[i], as _split gives them; below half volume the
-    perimeter is tube_perimeter's bit for bit.  Above half volume family
-    k is solved as its mirror row n - k (see _invert_lower_fraction) and
-    evaluated through its mirror shape S^(n-k)(cos s) x S^k(sin s), the
-    same hypersurface at the solved latitude s = pi/2 - r: its area is the
+) -> tuple[np.ndarray, np.ndarray, Callable[[], np.ndarray]]:
+    """(perimeter, radius, curvature) in RP^(n+1) of tube family k[i] at
+    tail fraction y[i], as _split gives them; curvature() returns their
+    mean curvatures, computed only when called, since _envelope needs them
+    only for its bounds.  Below half volume the perimeter is
+    tube_perimeter's bit for bit.  Above half volume family k is solved as
+    its mirror row n - k (see _invert_lower_fraction) and evaluated
+    through its mirror shape S^(n-k)(cos s) x S^k(sin s), the same
+    hypersurface at the solved latitude s = pi/2 - r: its area is the
     tube's, and its mean curvature is the tube's negated.  Evaluating
     cos r = sin s from r itself would cost the tube's area its relative
     accuracy as s shrinks, and r rounds to pi/2 where s is below ulp/2."""
@@ -521,9 +524,13 @@ def _tubes(
     c = np.cos(t)
     s = np.sin(t)
     perimeter = 0.5 * _area(_start_table(n)[0][n1], n1, n - n1, c, s)  # area_rp
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        mean = _mean_curvature(n1, n - n1, s / c, c / s)  # infinite at the tiniest latitudes
-    return perimeter, np.where(upper, _HALF_PI - t, t), np.where(upper, -mean, mean)
+
+    def curvature() -> np.ndarray:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            mean = _mean_curvature(n1, n - n1, s / c, c / s)  # infinite at the tiniest latitudes
+        return np.where(upper, -mean, mean)
+
+    return perimeter, np.where(upper, _HALF_PI - t, t), curvature
 
 
 def _envelope(
@@ -567,10 +574,10 @@ def _envelope(
     # Every family at every node, family by family.
     fam, col = np.divmod(np.arange((n + 1) * nodes.size), nodes.size)
     col = nodes[col]
-    perims[fam, col], radii[fam, col], mean = _tubes(n, fam, y[col], upper[col])
+    perims[fam, col], radii[fam, col], curvature = _tubes(n, fam, y[col], upper[col])
     # One or two volumes are all nodes, and no bound is used.
     if inner.size:
-        slope = n * mean.reshape(n + 1, nodes.size)
+        slope = n * curvature().reshape(n + 1, nodes.size)
         with np.errstate(invalid="ignore", over="ignore"):
             if np.any(np.diff(slope, axis=1) > 1e-9 * np.abs(slope[:, :-1])):
                 raise RuntimeError(
@@ -672,7 +679,8 @@ def transition_volumes(
     for _ in range(_MAX_HANDOFF_STEPS):
         # Family k then family k + 1 of each open pair, in one solve.
         y, upper = _split(np.concatenate([f, f]), 1.0)
-        perim, _, mean = _tubes(n, np.concatenate([pairs, pairs + 1]), y, upper)
+        perim, _, curvature = _tubes(n, np.concatenate([pairs, pairs + 1]), y, upper)
+        mean = curvature()
         gap = perim[: pairs.size] - perim[pairs.size :]
         slope = mean[: pairs.size] - mean[pairs.size :]
         step = -gap / (rp_total * n * slope)

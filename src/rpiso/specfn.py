@@ -14,7 +14,10 @@ element's steps.  The incomplete beta has two paths over one prefactor
 and reflection (_front): the float element _betainc_xc, with the
 continued fraction _betacf, which the scalar entry points run, and the
 array pass _betainc_xc_vec, with _betacf_vec, which runs every batch,
-whatever its size.  The quadrature refines all its integrals together,
+whatever its size.  _betacf_vec retires each element at the iteration
+where it converges and gathers the active ones into shorter arrays once
+at most half are left, so it computes little more than each element's
+own iterations.  The quadrature refines all its integrals together,
 level by level, and a scalar call is the batch on one element.
 """
 
@@ -227,41 +230,101 @@ def _betacf(a: float, b: float, x: float) -> float:
 
 
 def _betacf_vec(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """_betacf on arrays: a and b are arrays the shape of x, with one
-    (a, b) per element.  Converged elements freeze, and the fraction uses
-    only + - * /, so each element equals _betacf on it bit for bit."""
+    """_betacf on 1-D arrays: a and b are the shape of x, with one (a, b)
+    per element, and none of the three is written.  An element retires at
+    the iteration where it converges, and its h goes to the output then;
+    once at most half of the arrays are still active, the active elements
+    are gathered into shorter ones, so a converged element soon stops
+    costing anything.  Each iteration runs in place on preallocated
+    buffers, with _betacf's operations in _betacf's order, and the
+    fraction uses only + - * /, so each element equals _betacf on it bit
+    for bit.  Raises RuntimeError naming the (a, b, x) of every element
+    not converged after _CF_MAX_ITER iterations."""
+    out = np.empty(x.size)
+    if not x.size:
+        return out
+    idx = np.arange(x.size)
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
     c = np.ones_like(x)
     d = 1.0 - qab * x / qap
-    d = np.where(np.abs(d) < _CF_TINY, _CF_TINY, d)
+    _tiny_floor(d, np.abs(d))
     d = 1.0 / d
     h = d.copy()
-    active = np.ones(x.shape, dtype=bool)
-    for m in range(1, _CF_MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        d = np.where(np.abs(d) < _CF_TINY, _CF_TINY, d)
-        c = 1.0 + aa / c
-        c = np.where(np.abs(c) < _CF_TINY, _CF_TINY, c)
-        d = 1.0 / d
-        h = np.where(active, h * (d * c), h)
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        d = np.where(np.abs(d) < _CF_TINY, _CF_TINY, d)
-        c = 1.0 + aa / c
-        c = np.where(np.abs(c) < _CF_TINY, _CF_TINY, c)
-        d = 1.0 / d
-        delta = d * c
-        h = np.where(active, h * delta, h)
-        active &= ~(np.abs(delta - 1.0) < _CF_EPS)
-        if not active.any():
-            return h
-    raise RuntimeError(
-        f"incomplete beta continued fraction did not converge for a={a}, b={b}"
+    a2m, aa, den, tmp = (np.empty_like(x) for _ in range(4))
+    done, active = np.empty(x.size, dtype=bool), np.ones(x.size, dtype=bool)
+    left = x.size
+    # m as a float, the same value, since numpy takes a float operand faster.
+    for m in map(float, range(1, _CF_MAX_ITER + 1)):
+        m2 = 2.0 * m
+        np.add(a, m2, out=a2m)
+        # aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        np.subtract(b, m, out=aa)
+        aa *= m
+        aa *= x
+        np.add(qam, m2, out=den)
+        den *= a2m
+        aa /= den
+        d *= aa
+        d += 1.0
+        _tiny_floor(d, np.abs(d, out=tmp))
+        np.divide(aa, c, out=c)
+        c += 1.0
+        _tiny_floor(c, np.abs(c, out=tmp))
+        np.divide(1.0, d, out=d)
+        np.multiply(d, c, out=tmp)
+        h *= tmp
+        # aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)), held
+        # negated: 1 - aa' d and 1 - aa' / c are 1 + aa d and 1 + aa / c
+        # exactly, since IEEE rounding is symmetric in sign.
+        np.add(a, m, out=aa)
+        np.add(qab, m, out=den)
+        aa *= den
+        aa *= x
+        np.add(qap, m2, out=den)
+        np.multiply(a2m, den, out=den)
+        aa /= den
+        d *= aa
+        np.subtract(1.0, d, out=d)
+        _tiny_floor(d, np.abs(d, out=tmp))
+        np.divide(aa, c, out=c)
+        np.subtract(1.0, c, out=c)
+        _tiny_floor(c, np.abs(c, out=tmp))
+        np.divide(1.0, d, out=d)
+        np.multiply(d, c, out=tmp)  # delta
+        h *= tmp
+        tmp -= 1.0
+        np.less(np.abs(tmp, out=tmp), _CF_EPS, out=done)
+        done &= active
+        retired = np.count_nonzero(done)
+        if not retired:
+            continue
+        out[idx[done]] = h[done]
+        active ^= done
+        left -= retired
+        if not left:
+            return out
+        if 2 * left <= idx.size:
+            state = idx, a, b, x, qab, qap, qam, c, d, h
+            idx, a, b, x, qab, qap, qam, c, d, h = (v[active] for v in state)
+            a2m, aa, den, tmp = a2m[:left], aa[:left], den[:left], tmp[:left]
+            done, active = done[:left], np.ones(left, dtype=bool)
+    rest = ", ".join(
+        f"(a={p}, b={q}, x={t})"
+        for p, q, t in zip(a[active].tolist(), b[active].tolist(), x[active].tolist())
     )
+    raise RuntimeError(
+        f"incomplete beta continued fraction did not converge for {left} of "
+        f"{out.size} elements: {rest}"
+    )
+
+
+def _tiny_floor(v: np.ndarray, size: np.ndarray) -> None:
+    """Set the elements of v whose magnitude, size, is below _CF_TINY to
+    _CF_TINY, in place: the whole array is tested, only those assigned."""
+    if np.minimum.reduce(size) < _CF_TINY:
+        v[size < _CF_TINY] = _CF_TINY
 
 
 def _front(x, xc, a, b, ln_norm):

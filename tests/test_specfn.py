@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rpiso import specfn
+from rpiso import profile, specfn
 from rpiso.specfn import (
     QuadratureError,
     _betainc_xc_vec,
@@ -335,6 +335,79 @@ class TestRegIncBeta:
                 assert got.tolist() == [element[i] for i in w]
                 assert np.array_equal(got, pool[w])
         assert calls == []
+
+    @pytest.mark.parametrize("size", [2, 3, 1000, 20000])
+    def test_retiring_elements_equal_the_float_element(self, size):
+        # Elements at or below x = 1e-6 converge at the first iteration.
+        # Elements at the mean x = a / (a + b) need more, from a few to
+        # about a hundred when a and b are far apart; the last, at a =
+        # 218.5 and b = 218, needs 33.  Once the fast ones retire, at most
+        # half of the arrays are active and the rest are gathered.  Size 2,
+        # one fast element and the last, gathers once, down to a single
+        # survivor; size 3, a fast element and the last twice, never
+        # gathers; 1,000 and 20,000, about 60 % fast, gather 8 and 11
+        # times, down to a single survivor.
+        rng = np.random.default_rng(size)
+        half = 0.5 * rng.integers(1, 438, (2, size))
+        fast = (rng.random(size) < 0.6) | (size <= 3)
+        fast[-1] = False
+        half[:, ~fast] = 0.5 * rng.integers(1, 300, (2, np.count_nonzero(~fast)))
+        tiny = np.where(rng.random(size) < 0.5, 0.0, 10.0 ** rng.uniform(-300, -6, size))
+        a, b = half
+        a[-1], b[-1] = 218.5, 218.0
+        if size == 3:
+            a[1], b[1] = a[-1], b[-1]
+            fast[1] = False
+        x = np.where(fast, tiny, a / (a + b))
+        args = a, b, x
+        kept = [v.copy() for v in args]
+        got = specfn._betacf_vec(*args)
+        assert got.tolist() == [specfn._betacf(*e) for e in zip(*(v.tolist() for v in args))]
+        assert all(np.array_equal(v, k) for v, k in zip(args, kept))
+
+    def test_tiny_guard_trips_per_element(self):
+        # At x = (a + 1) / (a + b) the fraction's first denominator is 0,
+        # which the kernels replace by _CF_TINY; the ordinary elements
+        # around them keep their own value.
+        a = np.array([1.5, 2.0, 0.5, 3.0, 1.0, 4.5])
+        b = np.array([2.5, 3.0, 1.5, 5.0, 3.0, 2.0])
+        x = np.where(np.arange(6) % 2 == 0, (a + 1.0) / (a + b), 0.3)
+        assert ((a + b) * x / (a + 1.0) == 1.0).sum() == 3
+        got = specfn._betacf_vec(a, b, x)
+        assert got.tolist() == [specfn._betacf(*e) for e in zip(a.tolist(), b.tolist(), x.tolist())]
+
+    @pytest.mark.parametrize("cap", [2, 32])
+    def test_unconverged_elements_are_named(self, cap, monkeypatch):
+        # A fraction not converged within a lowered iteration cap raises,
+        # and the array kernel names only the elements still running: the
+        # ones at x = 0 retire at the first iteration, and below a cap of
+        # 33 the one at a = 218.5 is always among the rest.
+        monkeypatch.setattr(specfn, "_CF_MAX_ITER", cap)
+        a = np.array([218.5, 1.5, 7.5, 30.0, 2.5])
+        b = np.array([218.0, 2.5, 7.5, 30.5, 4.0])
+        x = np.where(np.arange(5) % 2 == 1, 0.0, a / (a + b))
+        elements = list(zip(a.tolist(), b.tolist(), x.tolist()))
+        left = []
+        for p, q, t in elements:
+            try:
+                specfn._betacf(p, q, t)
+            except RuntimeError as err:
+                assert str(err).endswith(f"for a={p}, b={q}, x={t}")
+                left.append(f"(a={p}, b={q}, x={t})")
+        assert 0 < len(left) < len(elements)
+        with pytest.raises(RuntimeError) as err:
+            specfn._betacf_vec(a, b, x)
+        assert str(err.value).endswith(f"for {len(left)} of 5 elements: " + ", ".join(left))
+
+    def test_non_convergence_reaches_the_callers(self, monkeypatch):
+        monkeypatch.setattr(specfn, "_CF_MAX_ITER", 2)
+        with pytest.raises(RuntimeError, match=r"did not converge for a=30\.0, b=30\.0, x=0\.5"):
+            reg_inc_beta(0.5, 30.0, 30.0)
+        # 100 volumes of dimension 10 run the array solve, whose steps
+        # call the array kernel.
+        total = total_volume(10)
+        with pytest.raises(RuntimeError, match=r"did not converge for \d+ of \d+ elements: \(a="):
+            profile._envelope(10, np.linspace(0.01, 0.99, 100) * total, total)
 
     def test_reflection_at_sub_ulp_x_saturates(self):
         # The complement of a sub-ulp x rounds to exactly 1.0, so the pair
