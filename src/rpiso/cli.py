@@ -96,9 +96,9 @@ def _flag(*names: str, **kwargs) -> tuple[tuple[str, ...], dict]:
     return names, kwargs
 
 
-def _dim(minimum: int, what: str = "ambient dimension", maximum: int | None = None):
+def _dim(minimum: int, what: str = "ambient dimension", maximum: int | None = None, **kwargs):
     text = f"{what} (>= {minimum})" if maximum is None else f"{what} ({minimum} to {maximum})"
-    return _flag("--dim", type=_int_range(minimum, maximum), required=True, help=text)
+    return _flag("--dim", type=_int_range(minimum, maximum), required=True, help=text, **kwargs)
 
 
 _SPACE = _flag("--space", choices=("rp", "sphere"), default="rp")
@@ -182,11 +182,12 @@ def _stability(args: argparse.Namespace) -> _Report:
 @_command(
     "willmore",
     "tube Willmore minimum and width candidate",
-    _dim(2, "hypersurface dimension n", _MAX_N),
+    _dim(2, "hypersurface dimension n", _MAX_N, dest="n"),
     _flag("--samples", type=_int_range(1000), default=10_000, help="latitude grid size"),
+    extras=("n",),
 )
 def _willmore(args: argparse.Namespace) -> _Report:
-    report = willmore_report(args.dim, args.samples)
+    report = willmore_report(args.n, args.samples)
     columns = ["n", "sigma_n", "min_energy", "argmin_k", "argmin_r", "chain_ok", "convexity_ok"]
     return _Report(
         columns,
@@ -198,10 +199,11 @@ def _willmore(args: argparse.Namespace) -> _Report:
 @_command(
     "areas",
     "minimal Clifford areas f(p) for p = 1..n-1",
-    _dim(2, "hypersurface dimension n", _MAX_N),
+    _dim(2, "hypersurface dimension n", _MAX_N, dest="n"),
+    extras=("n",),
 )
 def _areas(args: argparse.Namespace) -> _Report:
-    n = args.dim
+    n = args.n
     header = ["p", "area"]
     rows = list(zip(range(1, n), clifford_area_f(n, np.arange(1.0, n)).tolist()))
     return _Report(

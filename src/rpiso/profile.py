@@ -24,22 +24,22 @@ bit, whatever else shares a batch.  Its start and its step are written once
 for floats and arrays.  A float, or a batch of fewer than _FLOAT_BELOW (32)
 elements (the n + 1 families of profile_at, each step of the 2n handoff
 solves up to dimension 16), runs them one element at a time on floats, and
-a larger batch on arrays.  Only the incomplete beta's continued fraction,
-the start's interval search and how a finished element retires are written
-twice, so tests check that both return the same doubles.  That solve is a
-bracketed Halley iteration on the log of the volume fraction, or of its
-complement above half volume, so radii keep their relative accuracy in both
-tails.  It stops on a relative step of 1e-14, or one evaluation earlier
-once Halley's error estimate for the step is below 1e-15 relative.  Above
-half volume the tube of family k is the complement of a tube of the mirror
-family n - k, so every element inverts the lower fraction of one family j
-in 0..n, and starts from row j of a table of the inverse cached per
-dimension, so on the profile grids most solves stop after their first
-evaluation: about 1.1 incomplete beta evaluations per radius, or 1.2
-counting the table builds of a cold cache.  Such a tube is also evaluated
-through its complement, the mirror shape at the latitude s = pi/2 - r that
-the solve returns, so perimeters keep their relative accuracy up to the
-last double below the total.
+a larger batch on arrays.  Only the incomplete beta's continued fraction
+and how a finished element retires are written twice, so tests check that
+both return the same doubles.  That solve is a bracketed Halley iteration
+on the log of the volume fraction, or of its complement above half volume,
+so radii keep their relative accuracy in both tails.  It stops on a
+relative step of 1e-14, or one evaluation earlier once Halley's error
+estimate for the step is below 1e-15 relative.  Above half volume the tube
+of family k is the complement of a tube of the mirror family n - k, so
+every element inverts the lower fraction of one family j in 0..n, and
+starts from row j of a table of the inverse cached per dimension, so on
+the profile grids most solves stop after their first evaluation: about 1.1
+incomplete beta evaluations per radius, or 1.2 counting the table builds of
+a cold cache.  Such a tube is also evaluated through its complement, the
+mirror shape at the latitude s = pi/2 - r that the solve returns, so
+perimeters keep their relative accuracy up to the last double below the
+total.
 
 The envelope solves only the families that can be lowest.  Each P_k is
 concave in v, since dP/dV = n H and the mean curvature H decreases as the
@@ -57,7 +57,6 @@ envelope.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import sys
@@ -289,12 +288,14 @@ def _start_table(n: int) -> tuple[np.ndarray, ...]:
     j = 0..n, whose lower fraction is I(p, q) with p = (n - j + 1)/2 and
     q = (j + 1)/2: the per-row |S^j| |S^(n - j)|, as sphere_area gives them,
     which _tubes reads, log B(p, q), log(1 / B(p, q)) and start scale
-    (p B(p, q))^(1/(2p)), and, flattened row by row over the latitudes t of
-    _START_NODES, the complex search keys j + i log I and the slopes
-    d log t / d log I = I / (t I') of the inverse.  A node whose I
-    underflows has log I = -inf, and one whose slope overflows (the high
-    rows from dimension 236 on) an infinite slope; _start starts neither
-    from them.  All rows come from one _betainc_xc_vec call on the
+    (p B(p, q))^(1/(2p)); the search keys j + i log I of each row's inner
+    nodes (the latitudes t of _START_NODES but the first and last), flat
+    and sorted by row, then log I; and, one row per family and one column
+    per node, log I and the slopes d log t / d log I = I / (t I') of the
+    inverse, which _start reads alike for a float and an array.  A node
+    whose I underflows has log I = -inf, and one whose slope overflows (the
+    high rows from dimension 236 on) an infinite slope; _start starts
+    neither from them.  All rows come from one _betainc_xc_vec call on the
     first touch of a dimension, since every envelope and handoff call needs
     all rows: about 10 ms at dimension 150 against about 1.4 ms for one row
     (Intel Xeon, numpy 2.4).  A pure function of n, memoised: the cache can
@@ -313,12 +314,12 @@ def _start_table(n: int) -> tuple[np.ndarray, ...]:
         log_y = np.log(frac).reshape(n + 1, -1)
     log_slope = _LN_2 + (n - j)[:, None] * np.log(s) + j[:, None] * np.log(c) - ln_beta[:, None]
     with np.errstate(over="ignore"):
-        slopes = np.exp(log_y - _LOG_NODES - log_slope).ravel()
+        slopes = np.exp(log_y - _LOG_NODES - log_slope)
     # Set by parts, since 1j * -inf has a NaN real part.
-    keys = np.empty(log_y.shape, dtype=complex)
+    keys = np.empty((n + 1, _START_NODES.size - 2), dtype=complex)
     keys.real = j[:, None]
-    keys.imag = log_y
-    tables = areas * areas[::-1], ln_beta, ln_norm, scale, keys.ravel(), slopes
+    keys.imag = log_y[:, 1:-1]
+    tables = areas * areas[::-1], ln_beta, ln_norm, scale, keys.ravel(), log_y, slopes
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -327,9 +328,9 @@ def _start_table(n: int) -> tuple[np.ndarray, ...]:
 def _asymptote(n: int, root, scale) -> tuple:
     """The start t = (y p B(p, q))^(1/(2p)) = root * scale capped at 1.2,
     from root = y^(1/(2p)), and whether t is the root, within 1e-16 / (2p)
-    relative since (p + q) t^2 < 1e-16.  Floats or arrays; root is np.power
-    with an exponent array, since a float exponent of 1/2 takes a
-    square-root path that rounds differently."""
+    relative since (p + q) t^2 < 1e-16.  Floats or arrays; root is
+    np.float_power, which takes no square-root path for an exponent of 1/2,
+    so a float root is the double of the same array element."""
     t = root * scale
     t = _where(t > 1.2, 1.2, t)
     return t, (t > 0.0) & (0.5 * (n + 2) * t * t < 1e-16)
@@ -346,36 +347,26 @@ def _hermite(u, u0, u1, l0, l1, m0, m1):
     return log_t + x * x * (3.0 - 2.0 * x) * l1 + x * x * x1 * h * m1
 
 
-def _start(n: int, row, y, scale, keys, slopes) -> tuple:
+def _start(n: int, row, y, scale, keys, log_y, slopes) -> tuple:
     """(t, exact, table) for I_{sin^2 t}(p, q) = y of mirror family row in
-    dimension n, from the scales, keys and slopes of _start_table: the start
-    latitude, whether it is the asymptote and already the answer
+    dimension n, from the scales, keys, log I and slopes of _start_table:
+    the start latitude, whether it is the asymptote and already the answer
     (_asymptote), and whether the row's table gives it: at or above the
     row's first node, where _hermite on the interval holding log y (or the
     last one) is finite, clipped into (0, pi/2); else it is the asymptote
-    capped at 1.2.  An int and a float, or arrays.  The one type branch is
-    the interval search, a searchsorted over all rows' keys (sorted by row,
-    then log y) or a bisection within the row, with the asymptote's root,
-    whose exponent is an array (see _asymptote)."""
+    capped at 1.2.  An int and a float, or arrays, through the same calls
+    with no type branch: interval i counts the row's inner nodes at or below
+    log y, by one searchsorted over all rows' keys, and the root is
+    np.float_power (_asymptote).  So both drivers start from the same
+    doubles by construction; only the continued fraction and retirement
+    are written twice (_invert_lower_fraction)."""
     u = np.log(y)
-    size = _START_NODES.size
-    first = row * size
-    log_y = keys.imag
-    if isinstance(y, np.ndarray):
-        root = np.power(y, 1.0 / (n + 1 - row))  # y^(1/(2p))
-        pos = np.searchsorted(keys, row + 1j * u, side="right") - first
-        i = np.clip(pos - 1, 0, size - 2)
-    else:
-        root = np.power(y, np.array([1.0 / (n + 1 - row)]))[0]
-        pos = bisect.bisect_right(log_y, u, first, first + size) - first
-        i = min(max(pos - 1, 0), size - 2)
-    t, exact = _asymptote(n, root, scale[row])
-    at = first + i
-    log_t = _hermite(
-        u, log_y[at], log_y[at + 1], _LOG_NODES[i], _LOG_NODES[i + 1], slopes[at], slopes[at + 1]
-    )
-    # At or above the row's first node (pos > 0), and finite.
-    table = (log_y[first] <= u) & (abs(log_t) < math.inf)
+    i = keys.searchsorted(row + 1j * u, side="right") - row * (_START_NODES.size - 2)
+    t, exact = _asymptote(n, np.float_power(y, 1.0 / (n + 1 - row)), scale[row])
+    u0, u1, m0, m1 = log_y[row, i], log_y[row, i + 1], slopes[row, i], slopes[row, i + 1]
+    log_t = _hermite(u, u0, u1, _LOG_NODES[i], _LOG_NODES[i + 1], m0, m1)
+    # At or above the row's first node, and finite.
+    table = (log_y[row, 0] <= u) & (abs(log_t) < math.inf)
     start = np.exp(log_t)
     start = _where(start < sys.float_info.min, sys.float_info.min, start)
     start = _where(start > _T_MAX, _T_MAX, start)
@@ -450,8 +441,8 @@ def _invert_lower_fraction(n: int, row, y):
     _FLOAT_BELOW elements, where numpy's per-call overhead outweighs the
     arithmetic, runs one element at a time (_invert_one), which returns once
     done; a larger batch steps all its elements at once on arrays and drops
-    the finished ones.  The continued fraction (_betacf, _betacf_vec) and
-    the interval search are still written twice, so the tests check that
+    the finished ones.  That retirement and the continued fraction
+    (_betacf, _betacf_vec) are still written twice, so the tests check that
     the drivers return the same doubles and raise the same error.
     """
     # A fraction that underflows to 0 gives a NaN step, which bisects.

@@ -13,8 +13,9 @@ import sys
 import numpy as np
 import pytest
 
+from rpiso import cli
 from rpiso.cli import _Report, _write_report, main
-from rpiso.profile import Space, profile_curve
+from rpiso.profile import CrossingNotFound, Space, profile_curve
 
 
 def run_cli(argv):
@@ -275,6 +276,22 @@ class TestVerifyCommand:
         code, _, _ = run_cli(["verify", "--tol", "bogus=1"])
         assert code == 2
 
+    def test_tolerance_without_a_value_rejected(self):
+        code, out, err = run_cli(["verify", "--tol", "foo"])
+        assert code == 2
+        assert out == ""
+        assert "expected NAME=VALUE, got 'foo'" in err.splitlines()[-1]
+
+    def test_missing_crossing_is_a_verification_failure(self, monkeypatch):
+        def no_crossing(dim, space):
+            raise CrossingNotFound(f"no handoff in ambient dimension {dim}")
+
+        monkeypatch.setattr(cli, "transition_volumes", no_crossing)
+        code, out, err = run_cli(["transitions", "--dim", "4"])
+        assert code == 1
+        assert out == ""
+        assert err == "verification failure: no handoff in ambient dimension 4\n"
+
 
 class TestUsageErrors:
     def test_unknown_flag(self):
@@ -409,9 +426,9 @@ class TestConfigEcho:
             ),
             (
                 ["willmore", "--dim", "3", "--samples", "2000"],
-                _echo("willmore", ambient_dim=3, samples=2000),
+                _echo("willmore", samples=2000, extras={"n": 3}),
             ),
-            (["areas", "--dim", "5"], _echo("areas", ambient_dim=5)),
+            (["areas", "--dim", "5"], _echo("areas", extras={"n": 5})),
         ],
     )
     def test_report_commands(self, argv, expected):

@@ -49,6 +49,10 @@ class TestTotalVolume:
         with pytest.raises(ValueError):
             total_volume(1)
 
+    def test_rejects_a_space_that_is_not_a_space(self):
+        with pytest.raises(ValueError, match="space must be a Space, got 'rp'"):
+            total_volume(3, "rp")
+
     def test_last_dimension_with_a_normal_total(self):
         assert total_volume(436) >= sys.float_info.min
         for space in Space:
@@ -380,9 +384,9 @@ class TestRadiusTails:
         for n in range(1, 41):
             row = rng.permutation(np.tile(np.arange(n + 1), 4))
             y = np.exp(rng.uniform(math.log(1e-300), math.log(0.5), row.size))
-            _, _, _, scale, keys, slopes = profile._start_table(n)
+            _, _, _, *start_table = profile._start_table(n)
             with np.errstate(all="ignore"):
-                _, exact, table = profile._start(n, row, y, scale, keys, slopes)
+                _, exact, table = profile._start(n, row, y, *start_table)
             kinds += exact.sum(), (~exact & ~table).sum(), (~exact & table).sum()
             each = [invert(n, row[i : i + 1], y[i : i + 1])[0] for i in range(row.size)]
             assert batch(n, row, y).tolist() == each
@@ -939,6 +943,23 @@ class TestTransitions:
         with pytest.raises(CrossingNotFound, match="family 0 lies below"):
             transition_volumes(4)
 
+    def test_raises_when_handoffs_do_not_increase(self, monkeypatch):
+        # A stand-in for the tubes whose pair k has the gap f - (1/2 - k/100)
+        # over the fraction f, with the slope that makes each Newton step
+        # exact: the pairs converge to handoffs that fall with k.
+        total = total_volume(4)
+
+        def falling(n, k, y, upper):
+            f = np.where(upper, 1.0 - y, y)
+            pairs = k[: k.size // 2]
+            zeros = np.zeros(pairs.size)
+            slope = np.concatenate([np.full(pairs.size, 1.0 / (total * n)), zeros])
+            return np.concatenate([f[: pairs.size] - 0.5 + 0.01 * pairs, zeros]), None, lambda: slope
+
+        monkeypatch.setattr(profile, "_tubes", falling)
+        with pytest.raises(CrossingNotFound, match="do not increase in k"):
+            transition_volumes(4)
+
 
 class TestSuccessive:
     def test_small_dimensions(self):
@@ -948,6 +969,17 @@ class TestSuccessive:
     def test_rejects_coarse_grid(self):
         with pytest.raises(ValueError):
             successive_check(4, 50)
+
+    def test_fails_when_the_best_family_decreases(self, monkeypatch):
+        # Every family still wins somewhere, but in reverse order.
+        envelope = profile._envelope
+
+        def reversed_order(dim, volumes, total):
+            best, perims, radii = envelope(dim, volumes, total)
+            return best[::-1], perims, radii
+
+        monkeypatch.setattr(profile, "_envelope", reversed_order)
+        assert not successive_check(4, 300)
 
 
 class TestStabilityCrossCheck:

@@ -376,6 +376,35 @@ class TestRegIncBeta:
         got = specfn._betacf_vec(a, b, x)
         assert got.tolist() == [specfn._betacf(*e) for e in zip(a.tolist(), b.tolist(), x.tolist())]
 
+    @pytest.mark.parametrize(
+        "a, b, x, value",
+        [
+            # d0 = 1 - 3 (0.75) / 2 = -1/8 and the first aa = 1/8, so the
+            # first in-loop d of the m-step is 1 + (1/8)(-8) = 0 exactly;
+            # I_0.75(1, 2) = 0.9375 = front cf / a gives cf = 10.
+            (1.0, 2.0, 0.75, 10.0),
+            # The second (negative) aa zeroes d at m = 1: cf = 254 / 7, from
+            # I_0.5(1, 7) = 127 / 128.
+            (1.0, 7.0, 0.5, 254.0 / 7.0),
+            # The second aa zeroes c.  x lies far beyond (a + 1) / (a + b + 2),
+            # where the fraction is never used, so only the kernels' equality
+            # is asserted.
+            (2.0, 8.0, 0.9375, None),
+        ],
+    )
+    def test_in_loop_tiny_guards(self, a, b, x, value):
+        # Each element trips one in-loop guard and is floored to _CF_TINY in
+        # both kernels, among ordinary elements in a batch.
+        expect = specfn._betacf(a, b, x)
+        if value is not None:
+            assert expect == pytest.approx(value, rel=1e-15)
+        aa = np.array([a, 1.5, a, 4.5])
+        bb = np.array([b, 2.5, b, 2.0])
+        xx = np.array([x, 0.3, x, 0.2])
+        got = specfn._betacf_vec(aa, bb, xx)
+        assert got.tolist() == [specfn._betacf(*e) for e in zip(*(v.tolist() for v in (aa, bb, xx)))]
+        assert got[0] == got[2] == expect
+
     @pytest.mark.parametrize("cap", [2, 32])
     def test_unconverged_elements_are_named(self, cap, monkeypatch):
         # A fraction not converged within a lowered iteration cap raises,
