@@ -660,6 +660,7 @@ def transition_volumes(
     at some handoff a third family lies below the pair: each would break
     the successive ordering.
     """
+    cover = _cover(space)
     rp_total = total_volume(ambient_dim)
     n = ambient_dim - 1
     pairs = np.arange(n)
@@ -704,7 +705,6 @@ def transition_volumes(
                 f"family {j} lies below the handoff of k={k} and k={k + 1} "
                 f"in ambient dimension {ambient_dim}"
             )
-    cover = _cover(space)
     return [(k, k + 1, cover * v) for k, v in enumerate(handoffs.tolist())]
 
 

@@ -14,11 +14,13 @@ element's steps.  The incomplete beta has two paths over one prefactor
 and reflection (_front): the float element _betainc_xc, with the
 continued fraction _betacf, which the scalar entry points run, and the
 array pass _betainc_xc_vec, with _betacf_vec, which runs every batch,
-whatever its size.  _betacf_vec retires each element at the iteration
-where it converges and gathers the active ones into shorter arrays once
-at most half are left, so it computes little more than each element's
-own iterations.  The quadrature refines all its integrals together,
-level by level, and a scalar call is the batch on one element.
+whatever its size.  Each kernel writes the Lentz update once, over the
+iteration's two partial numerators.  _betacf_vec retires each element at
+the iteration where it converges and gathers the active ones into
+shorter arrays once at most half are left, so it computes little more
+than each element's own iterations.  The quadrature refines all its
+integrals together, level by level, and a scalar call is the batch on
+one element.
 """
 
 from __future__ import annotations
@@ -191,7 +193,11 @@ def trigamma(x: float | np.ndarray) -> float | np.ndarray:
 
 
 def _betacf(a: float, b: float, x: float) -> float:
-    """Lentz evaluation of the incomplete-beta continued fraction."""
+    """Lentz evaluation of the incomplete-beta continued fraction.  Each
+    iteration computes its two partial numerators, the even and the odd
+    (Press et al., Numerical Recipes, 3rd ed., section 6.4), and writes
+    the Lentz update once, applied to each in turn; it stops on the odd
+    one's delta."""
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
@@ -201,27 +207,21 @@ def _betacf(a: float, b: float, x: float) -> float:
         d = _CF_TINY
     d = 1.0 / d
     h = d
-    for m in range(1, _CF_MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+    # m as a float, the same value, which pays for the inner loop.
+    for m in map(float, range(1, _CF_MAX_ITER + 1)):
+        m2 = 2.0 * m
+        even = m * (b - m) * x / ((qam + m2) * (a + m2))
+        odd = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        for aa in (even, odd):
+            d = 1.0 + aa * d
+            if abs(d) < _CF_TINY:
+                d = _CF_TINY
+            c = 1.0 + aa / c
+            if abs(c) < _CF_TINY:
+                c = _CF_TINY
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _CF_EPS:
             return h
     raise RuntimeError(
@@ -235,11 +235,12 @@ def _betacf_vec(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     the iteration where it converges, and its h goes to the output then;
     once at most half of the arrays are still active, the active elements
     are gathered into shorter ones, so a converged element soon stops
-    costing anything.  Each iteration runs in place on preallocated
-    buffers, with _betacf's operations in _betacf's order, and the
-    fraction uses only + - * /, so each element equals _betacf on it bit
-    for bit.  Raises RuntimeError naming the (a, b, x) of every element
-    not converged after _CF_MAX_ITER iterations."""
+    costing anything.  Each iteration computes its two partial numerators
+    into their own buffers and writes the Lentz update once, over both, in
+    place on preallocated buffers, with _betacf's operations in _betacf's
+    order; the fraction uses only + - * /, so each element equals _betacf
+    on it bit for bit.  Raises RuntimeError naming the (a, b, x) of every
+    element not converged after _CF_MAX_ITER iterations."""
     out = np.empty(x.size)
     if not x.size:
         return out
@@ -252,48 +253,39 @@ def _betacf_vec(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     _tiny_floor(d, np.abs(d))
     d = 1.0 / d
     h = d.copy()
-    a2m, aa, den, tmp = (np.empty_like(x) for _ in range(4))
+    a2m, even, odd, den, tmp = (np.empty_like(x) for _ in range(5))
     done, active = np.empty(x.size, dtype=bool), np.ones(x.size, dtype=bool)
     left = x.size
     # m as a float, the same value, since numpy takes a float operand faster.
     for m in map(float, range(1, _CF_MAX_ITER + 1)):
         m2 = 2.0 * m
         np.add(a, m2, out=a2m)
-        # aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        np.subtract(b, m, out=aa)
-        aa *= m
-        aa *= x
+        # even = m * (b - m) * x / ((qam + m2) * (a + m2))
+        np.subtract(b, m, out=even)
+        even *= m
+        even *= x
         np.add(qam, m2, out=den)
         den *= a2m
-        aa /= den
-        d *= aa
-        d += 1.0
-        _tiny_floor(d, np.abs(d, out=tmp))
-        np.divide(aa, c, out=c)
-        c += 1.0
-        _tiny_floor(c, np.abs(c, out=tmp))
-        np.divide(1.0, d, out=d)
-        np.multiply(d, c, out=tmp)
-        h *= tmp
-        # aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)), held
-        # negated: 1 - aa' d and 1 - aa' / c are 1 + aa d and 1 + aa / c
-        # exactly, since IEEE rounding is symmetric in sign.
-        np.add(a, m, out=aa)
+        even /= den
+        # odd = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)), where
+        # -m - a is -(a + m) exactly, since IEEE rounding is symmetric in sign.
+        np.subtract(-m, a, out=odd)
         np.add(qab, m, out=den)
-        aa *= den
-        aa *= x
+        odd *= den
+        odd *= x
         np.add(qap, m2, out=den)
         np.multiply(a2m, den, out=den)
-        aa /= den
-        d *= aa
-        np.subtract(1.0, d, out=d)
-        _tiny_floor(d, np.abs(d, out=tmp))
-        np.divide(aa, c, out=c)
-        np.subtract(1.0, c, out=c)
-        _tiny_floor(c, np.abs(c, out=tmp))
-        np.divide(1.0, d, out=d)
-        np.multiply(d, c, out=tmp)  # delta
-        h *= tmp
+        odd /= den
+        for aa in (even, odd):
+            d *= aa
+            d += 1.0
+            _tiny_floor(d, np.abs(d, out=tmp))
+            np.divide(aa, c, out=c)
+            c += 1.0
+            _tiny_floor(c, np.abs(c, out=tmp))
+            np.divide(1.0, d, out=d)
+            np.multiply(d, c, out=tmp)  # delta
+            h *= tmp
         tmp -= 1.0
         np.less(np.abs(tmp, out=tmp), _CF_EPS, out=done)
         done &= active
@@ -308,7 +300,7 @@ def _betacf_vec(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
         if 2 * left <= idx.size:
             state = idx, a, b, x, qab, qap, qam, c, d, h
             idx, a, b, x, qab, qap, qam, c, d, h = (v[active] for v in state)
-            a2m, aa, den, tmp = a2m[:left], aa[:left], den[:left], tmp[:left]
+            a2m, even, odd, den, tmp = (v[:left] for v in (a2m, even, odd, den, tmp))
             done, active = done[:left], np.ones(left, dtype=bool)
     rest = ", ".join(
         f"(a={p}, b={q}, x={t})"

@@ -9,8 +9,9 @@ and finite, whether run_all, the CLI or a check called on its own reads
 the override.  Only the profile checks take sizes, which the CLI sets;
 the others run fixed grids or seeded draws.  Each sweep over them is one
 batched pass: the quadrature and the closed form of the integrals in one
-call each, the random shapes per (n1, n2) with array latitudes, and the
-area chains and convexity grids of every n in one formula pass each.
+call each, the random shapes in four array draws, evaluated per
+(n1, n2) with array latitudes, and the area chains and convexity grids
+of every n in one formula pass each.
 """
 
 from __future__ import annotations
@@ -162,21 +163,19 @@ def check_stability(overrides: dict[str, float] | None = None):
 @_check("algebraic_identities")
 def check_identities(overrides: dict[str, float] | None = None):
     """Trace identity, per-curvature quadratic, and Jacobian transport on
-    seeded random shapes, drawn one at a time and evaluated per (n1, n2)
-    with array latitudes."""
+    seeded random shapes, drawn as arrays and evaluated per (n1, n2) with
+    array latitudes."""
     tol = _tol(overrides, "identity")
     count = 1000
     rng = np.random.default_rng(20240817)
-    groups: dict[tuple[int, int], list[tuple[float, float]]] = {}
-    for _ in range(count):
-        n1 = int(rng.integers(0, 7))
-        n2 = int(rng.integers(0 if n1 > 0 else 1, 7))
-        r = float(rng.uniform(0.05, _HALF_PI - 0.05))
-        t = float(rng.uniform(0.0, _HALF_PI - r - 0.01))
-        groups.setdefault((n1, n2), []).append((r, t))
+    n1s = rng.integers(0, 7, count)
+    n2s = rng.integers(n1s == 0, 7)
+    rs = rng.uniform(0.05, _HALF_PI - 0.05, count)
+    ts = rng.uniform(0.0, _HALF_PI - rs - 0.01)
     worst = 0.0
-    for (n1, n2), draws in groups.items():
-        r, t = np.array(draws).T
+    for n1, n2 in sorted(set(zip(n1s.tolist(), n2s.tolist()))):
+        pick = (n1s == n1) & (n2s == n2)
+        r, t = rs[pick], ts[pick]
         shape = clifford.CliffordShape(n1, n2, r)
         data = clifford.curvature(shape)
         n = shape.n

@@ -960,6 +960,14 @@ class TestTransitions:
         with pytest.raises(CrossingNotFound, match="do not increase in k"):
             transition_volumes(4)
 
+    def test_space_is_checked_before_any_solve(self, monkeypatch):
+        def unreached(*args):
+            raise AssertionError("_tubes called before the space was checked")
+
+        monkeypatch.setattr(profile, "_tubes", unreached)
+        with pytest.raises(ValueError, match="space must be a Space, got 'rp'"):
+            transition_volumes(10, "rp")
+
 
 class TestSuccessive:
     def test_small_dimensions(self):

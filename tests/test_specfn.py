@@ -405,6 +405,35 @@ class TestRegIncBeta:
         assert got.tolist() == [specfn._betacf(*e) for e in zip(*(v.tolist() for v in (aa, bb, xx)))]
         assert got[0] == got[2] == expect
 
+    # (a, b, x) and the fraction's value as float.hex, so a change that both
+    # kernels share cannot move a double unseen.  The kernels use only
+    # + - * / and comparisons, so these do not depend on the CPU.  The three
+    # guard-tripping inputs above, the slowest tube element, x = 0 and a tiny
+    # x, a reflected tube row (n = 9, k = 3 at r = 1.2: (b, a, cos^2 r)),
+    # non-half-integer (a, b), and x = 0.98 at a = 200.5, b = 1.
+    PINNED = [
+        (1.0, 2.0, 0.75, "0x1.3ffffffffffffp+3"),
+        (1.0, 7.0, 0.5, "0x1.224924924924ap+5"),
+        (2.0, 8.0, 0.9375, "0x1.02e85c00fbdadp+27"),
+        (218.5, 218.0, 218.5 / 436.5, "0x1.a3aaf0feb1d86p+4"),
+        (2.5, 4.0, 0.0, "0x1.0000000000000p+0"),
+        (1.5, 2.5, 1e-6, "0x1.00001ad7f51e1p+0"),
+        (2.0, 3.5, 0.13130314222937728, "0x1.4df2e0a64ea7ap+0"),
+        (0.3, 2.7, 0.1, "0x1.47286e32a84c9p+0"),
+        (5.25, 1.75, 0.6, "0x1.7720888e84da6p+1"),
+        (0.5, 0.5, 0.4, "0x1.65ce2c9fd77d5p+0"),
+        (200.5, 1.0, 0.98, "0x1.8fffffffffff9p+5"),
+    ]
+
+    @pytest.mark.parametrize("a, b, x, value", PINNED)
+    def test_float_kernel_returns_pinned_doubles(self, a, b, x, value):
+        assert specfn._betacf(a, b, x).hex() == value
+
+    def test_array_kernel_returns_pinned_doubles(self):
+        a, b, x, values = zip(*self.PINNED)
+        got = specfn._betacf_vec(np.array(a), np.array(b), np.array(x))
+        assert [v.hex() for v in got.tolist()] == list(values)
+
     @pytest.mark.parametrize("cap", [2, 32])
     def test_unconverged_elements_are_named(self, cap, monkeypatch):
         # A fraction not converged within a lowered iteration cap raises,
