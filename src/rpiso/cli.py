@@ -221,7 +221,7 @@ def _areas(args: argparse.Namespace) -> _Report:
 @_command(
     "verify",
     "run the full verification suite",
-    _flag("--max-dim", type=_int_range(3), default=10, help="largest ambient dimension"),
+    _flag("--max-dim", type=_int_range(3, _MAX_DIM), default=10, help="largest ambient dimension"),
     _flag("--samples", type=_int_range(100), default=2000, help="profile grid size"),
     _flag("--tol", type=_parse_tolerance, action="append", default=[], metavar="NAME=VALUE",
           help="override a named verification tolerance (repeatable)"),

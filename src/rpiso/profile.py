@@ -24,17 +24,19 @@ bit, whatever else shares a batch.  Its start and its step are written once
 for floats and arrays.  A float, or a batch of fewer than _FLOAT_BELOW (32)
 elements (the n + 1 families of profile_at, each step of the 2n handoff
 solves up to dimension 16), runs them one element at a time on floats, and
-a larger batch on arrays.  Only the incomplete beta's continued fraction
-and how a finished element retires are written twice, so tests check that
-both return the same doubles.  That solve is a bracketed Halley iteration
-on the log of the volume fraction, or of its complement above half volume,
-so radii keep their relative accuracy in both tails.  It stops on a
-relative step of 1e-14, or one evaluation earlier once Halley's error
-estimate for the step is below 1e-15 relative.  Above half volume the tube
-of family k is the complement of a tube of the mirror family n - k, so
+a larger batch on arrays.  The float element returns once it is done; the
+array loop retires finished elements through _retire, which the handoff
+solve shares, as it shares the bracket step, _bracket.  Only the incomplete
+beta's continued fraction is written twice, so tests check that the float
+and array drivers return the same doubles.  That solve is a bracketed
+Halley iteration on the log of the volume fraction, or of its complement
+above half volume, so radii keep their relative accuracy in both tails.  It
+stops on a relative step of 1e-14, or one evaluation earlier once Halley's
+error estimate for the step is below 1e-15 relative.  Above half volume the
+tube of family k is the complement of a tube of the mirror family n - k, so
 every element inverts the lower fraction of one family j in 0..n, and
-starts from row j of a table of the inverse cached per dimension, so on
-the profile grids most solves stop after their first evaluation: about 1.1
+starts from row j of a table of the inverse cached per dimension, so on the
+profile grids most solves stop after their first evaluation: about 1.1
 incomplete beta evaluations per radius, or 1.2 counting the table builds of
 a cold cache.  Such a tube is also evaluated through its complement, the
 mirror shape at the latitude s = pi/2 - r that the solve returns, so
@@ -50,9 +52,9 @@ any family.  The answers equal the argmin over all families bit for bit.
 
 The handoff from family k to k + 1 is the root of the perimeter gap
 P_k - P_{k+1} over the volume fraction, solved by a bracketed Newton
-iteration of the same shape for all adjacent pairs at once, one radius
-solve per step, then checked to increase in k and to lie on the lower
-envelope.
+iteration, with the radius solve's _bracket and _retire, for all adjacent
+pairs at once, one radius solve per step, then checked to increase in k and
+to lie on the lower envelope.
 """
 
 from __future__ import annotations
@@ -117,7 +119,8 @@ _LOG_NODES = np.log(_START_NODES)
 _T_MAX = math.nextafter(_HALF_PI, 0.0)
 
 # The handoff solve stops once a Newton step moves a volume fraction by at
-# most _HANDOFF_TOL or its bracket has closed to 4 ulp.  It raises
+# most _HANDOFF_TOL; near the root, from dimension 299 up, rounding noise in
+# the gap can send a step outside the bracket, which then bisects.  It raises
 # CrossingNotFound after _MAX_HANDOFF_STEPS steps: fewer than the 53 halvings
 # that take a pair whose gap stays negative from its start to f = 1 itself.
 _HANDOFF_TOL = 1e-10
@@ -358,8 +361,8 @@ def _start(n: int, row, y, scale, keys, log_y, slopes) -> tuple:
     with no type branch: interval i counts the row's inner nodes at or below
     log y, by one searchsorted over all rows' keys, and the root is
     np.float_power (_asymptote).  So both drivers start from the same
-    doubles by construction; only the continued fraction and retirement
-    are written twice (_invert_lower_fraction)."""
+    doubles by construction; only the continued fraction is written twice
+    (_invert_lower_fraction)."""
     u = np.log(y)
     i = keys.searchsorted(row + 1j * u, side="right") - row * (_START_NODES.size - 2)
     t, exact = _asymptote(n, np.float_power(y, 1.0 / (n + 1 - row)), scale[row])
@@ -387,8 +390,9 @@ def _halley(pm, j, s, c, frac, y, ln_beta) -> tuple:
 def _step(n: int, j, y, t, lo, hi, ln_beta, ln_norm) -> tuple:
     """(done, t + step, next t, lo, hi): one bracketed Halley step at the
     latitude t in [lo, hi] for the lower fraction y of mirror family j, with
-    that row's ln_beta = log B(p, q) and ln_norm = log(1 / B(p, q)).  An int
-    and floats, on the float incomplete beta, or arrays, on the batched one."""
+    that row's ln_beta = log B(p, q) and ln_norm = log(1 / B(p, q));
+    _bracket moves the bracket and picks the next t.  An int and floats, on
+    the float incomplete beta, or arrays, on the batched one."""
     pm = n - j
     s = np.sin(t)
     c = np.cos(t)
@@ -396,15 +400,32 @@ def _step(n: int, j, y, t, lo, hi, ln_beta, ln_norm) -> tuple:
     frac = betainc(s * s, c * c, 0.5 * (pm + 1), 0.5 * (j + 1), ln_norm)
     newton, curv, step = _halley(pm, j, s, c, frac, y, ln_beta)
     step = _where(abs(step) < math.inf, step, newton)
-    below = frac < y
-    lo, hi = _where(below, (t, hi), (lo, t))
-    new = t + step
-    inside = (new > lo) & (new < hi)
+    new, inside, next_t, lo, hi = _bracket(t, step, frac < y, lo, hi)
     size = abs(step)
     done = (size <= _RADIUS_RTOL * t) | (
         inside & (size <= _HALLEY_RTOL * t) & (abs(step * curv) <= _HALLEY_RTOL)
     )
-    return done, new, _where(inside, new, 0.5 * (lo + hi)), lo, hi
+    return done, new, next_t, lo, hi
+
+
+def _bracket(x, step, below, lo, hi) -> tuple:
+    """(x + step, whether it lies strictly inside the bracket, next x, lo,
+    hi): the safeguard of both Newton-type solves (rtsafe, Numerical Recipes
+    9.4).  The bracket end on x's side moves to x, lo where below holds (the
+    root lies above x) and hi elsewhere; the next x is x + step inside the
+    new bracket, else its midpoint.  Floats or arrays."""
+    lo, hi = _where(below, (x, hi), (lo, x))
+    new = x + step
+    inside = (new > lo) & (new < hi)
+    return new, inside, _where(inside, new, 0.5 * (lo + hi)), lo, hi
+
+
+def _retire(out, done, new, idx, *state) -> list:
+    """Retirement in both array loops: writes new[done] to out[idx[done]]
+    and returns idx and each array of state without the finished elements."""
+    out[idx[done]] = new[done]
+    keep = ~done
+    return [v[keep] for v in (idx, *state)]
 
 
 def _invert_lower_fraction(n: int, row, y):
@@ -427,7 +448,7 @@ def _invert_lower_fraction(n: int, row, y):
     element starts from _start: the small-radius asymptote, the answer
     where it is already exact (also where sin^2 t underflows), or a start
     from the dimension's _start_table.  It keeps its own bracket inside
-    [0, pi/2] and bisects only when a step leaves it (_step).  It is done
+    [0, pi/2] and bisects only when a step leaves it (_bracket).  It is done
     with t + step once the step moves t by at most _RADIUS_RTOL * t, or,
     without a confirming evaluation, once t + step lies in the bracket and
     |step| / t and |step f''/f'| are both at most _HALLEY_RTOL, which puts
@@ -441,9 +462,10 @@ def _invert_lower_fraction(n: int, row, y):
     _FLOAT_BELOW elements, where numpy's per-call overhead outweighs the
     arithmetic, runs one element at a time (_invert_one), which returns once
     done; a larger batch steps all its elements at once on arrays and drops
-    the finished ones.  That retirement and the continued fraction
-    (_betacf, _betacf_vec) are still written twice, so the tests check that
-    the drivers return the same doubles and raise the same error.
+    the finished ones through _retire, as the handoff solve does.  The
+    continued fraction (_betacf, _betacf_vec) is still written twice, so the
+    tests check that the drivers return the same doubles and raise the same
+    error.
     """
     # A fraction that underflows to 0 gives a NaN step, which bisects.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -468,9 +490,8 @@ def _invert_lower_fraction(n: int, row, y):
                     break
                 done, new, t, lo, hi = _step(n, row, y, t, lo, hi, ln_beta, ln_norm)
                 if done.any():
-                    out[idx[done]] = new[done]
-                    state = idx, t, y, lo, hi, row, ln_beta, ln_norm
-                    idx, t, y, lo, hi, row, ln_beta, ln_norm = (v[~done] for v in state)
+                    state = _retire(out, done, new, idx, t, y, lo, hi, row, ln_beta, ln_norm)
+                    idx, t, y, lo, hi, row, ln_beta, ln_norm = state
             left = row.tolist()
     if left:
         raise RuntimeError(
@@ -643,22 +664,23 @@ def transition_volumes(
     """Envelope handoff volumes between adjacent tube families.
 
     The handoff from k to k + 1 is the root of the perimeter gap
-    g(f) = P_k - P_{k+1} over the volume fraction f, which changes sign
-    once on (0, 1), from - to +.  All n pairs are solved at once, each on
-    its own: a bracketed Newton iteration in the form of the radius solve,
-    with dg/df = V_total n (H_k - H_{k+1}) since dP/dV = n H, H the mean
+    g(f) = P_k - P_{k+1} over the volume fraction f, which changes sign once
+    on (0, 1), from - to +.  All n pairs are solved at once, each on its
+    own: a bracketed Newton iteration that shares the radius solve's bracket
+    step (_bracket) and retirement (_retire), with
+    dg/df = V_total n (H_k - H_{k+1}) since dP/dV = n H, H the mean
     curvature.  Pair k starts halfway between (k + 1)/(n + 1) and 1/2, as
-    the handoffs crowd toward half volume when n grows.  It is done once
-    its step is at most _HANDOFF_TOL, or once its bracket has closed to
-    4 ulp, for dimensions where the rounding noise of g keeps the step
-    above the tolerance.  So a handoff is settled to about 1e-10 of the
-    fraction, not to the 17 digits the CLI prints: at dimension 150, radius
-    changes of 6.4e-15 relative have moved handoffs by up to 3.3e-11
-    relative.  Raises CrossingNotFound if a pair is not done after
+    the handoffs crowd toward half volume when n grows.  It is done with
+    f + step once its step is at most _HANDOFF_TOL.  Near the root, from
+    dimension 299 up, the rounding noise of g can send a step outside the
+    bracket, and the pair then bisects.  So a handoff is settled to about
+    1e-10 of the fraction, not to the 17 digits the CLI prints: at dimension
+    150, radius changes of 6.4e-15 relative have moved handoffs by up to
+    3.3e-11 relative.  Raises CrossingNotFound if a pair is not done after
     _MAX_HANDOFF_STEPS steps (a pair that never exchanges optimality ends
-    there), if the handoff volumes do not strictly increase with k, or if
-    at some handoff a third family lies below the pair: each would break
-    the successive ordering.
+    there), if the handoff volumes do not strictly increase with k, or if at
+    some handoff a third family lies below the pair: each would break the
+    successive ordering.
     """
     cover = _cover(space)
     rp_total = total_volume(ambient_dim)
@@ -674,20 +696,9 @@ def transition_volumes(
         perim, _, curvature = _tubes(n, np.concatenate([pairs, pairs + 1]), y, upper)
         mean = curvature()
         gap = perim[: pairs.size] - perim[pairs.size :]
-        slope = mean[: pairs.size] - mean[pairs.size :]
-        step = -gap / (rp_total * n * slope)
-        below = gap < 0.0
-        lo = np.where(below, f, lo)
-        hi = np.where(below, hi, f)
-        new = f + step
-        converged = np.abs(step) <= _HANDOFF_TOL
-        f = np.where(converged | ((new > lo) & (new < hi)), new, 0.5 * (lo + hi))
-        # A closed bracket counts only once g has been seen on both sides.
-        closed = (hi - lo <= 4.0 * np.spacing(hi)) & (lo > 0.0) & (hi < 1.0)
-        done = converged | closed
-        out[pairs[done]] = f[done]
-        keep = ~done
-        pairs, f, lo, hi = pairs[keep], f[keep], lo[keep], hi[keep]
+        step = -gap / (rp_total * n * (mean[: pairs.size] - mean[pairs.size :]))
+        new, _, f, lo, hi = _bracket(f, step, gap < 0.0, lo, hi)
+        pairs, f, lo, hi = _retire(out, np.abs(step) <= _HANDOFF_TOL, new, pairs, f, lo, hi)
         if pairs.size == 0:
             break
     else:

@@ -88,7 +88,7 @@ def _check(name: str):
 @_check("successive_profiles")
 def check_successive(max_dim: int = 10, samples: int = 2000):
     """Successive handoff of tube families in ambient dims 3..max_dim."""
-    specfn._check_int("max_dim", max_dim, 3)
+    specfn._check_int("max_dim", max_dim, 3, profile._MAX_DIM)
     failures = [d for d in range(3, max_dim + 1) if not profile.successive_check(d, samples)]
     if failures:
         return False, f"failed for ambient dims {failures}"

@@ -369,6 +369,7 @@ class TestUsageErrors:
             (["areas", "--dim", "438"], "--dim"),
             (["profile", "--dim", "437"], "--dim"),
             (["transitions", "--dim", "437"], "--dim"),
+            (["verify", "--max-dim", "437"], "--max-dim"),
         ],
     )
     def test_error_names_the_flag(self, argv, flag, tmp_path):

@@ -903,6 +903,28 @@ class TestTransitions:
         for v, mirror in zip(vols, reversed(vols)):
             assert v == pytest.approx(total - mirror, rel=1e-11)
 
+    @pytest.mark.parametrize("dim", [402, 436])
+    def test_bisection_fallback_settles_every_pair(self, dim, monkeypatch):
+        # Near the root, rounding noise in the gap sends some handoff steps
+        # outside their bracket at these dimensions, and those pairs bisect.
+        bracket = profile._bracket
+        bisected = []
+
+        def counted(x, step, below, lo, hi):
+            new, inside, nxt, lo, hi = bracket(x, step, below, lo, hi)
+            if sys._getframe(1).f_code.co_name == "transition_volumes":
+                bisected.append(np.sum(~inside & (np.abs(step) > profile._HANDOFF_TOL)))
+            return new, inside, nxt, lo, hi
+
+        monkeypatch.setattr(profile, "_bracket", counted)
+        total = total_volume(dim)
+        crossings = transition_volumes(dim)
+        assert sum(bisected) > 0
+        assert [(k, k2) for k, k2, _ in crossings] == [(k, k + 1) for k in range(dim - 1)]
+        vols = [v for _, _, v in crossings]
+        for v, mirror in zip(vols, reversed(vols)):
+            assert abs(v + mirror - total) <= 1e-9 * total
+
     @pytest.mark.parametrize("dim", [20, 60])
     def test_handoffs_against_mpmath(self, dim):
         n = dim - 1

@@ -145,6 +145,18 @@ def test_successive_refuses_a_size_that_checks_nothing(max_dim):
         run_all(max_dim=max_dim)
 
 
+def test_successive_refuses_a_dimension_beyond_the_profile_bound(monkeypatch):
+    # 437 would solve every dim 3..436 before total_volume refused the last.
+    def unreached(*args):
+        raise AssertionError("successive_check called before max_dim was checked")
+
+    monkeypatch.setattr(profile, "successive_check", unreached)
+    with pytest.raises(ValueError, match="max_dim must be <= 436, got 437"):
+        check_successive(437)
+    with pytest.raises(ValueError, match="max_dim must be <= 436, got 437"):
+        run_all(max_dim=437)
+
+
 HALF_PI = 0.5 * math.pi
 
 
