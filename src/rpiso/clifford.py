@@ -222,11 +222,13 @@ def quadratic_roots(beta0: float) -> tuple[float, float]:
     beta0 = float(beta0)
     if not math.isfinite(beta0):
         raise ValueError(f"coefficient must be finite, got {beta0}")
-    disc = math.hypot(beta0, 2.0)
+    # Halved before the sum, which overflows above about 8.99e307 otherwise.
+    half = 0.5 * beta0
+    disc = math.hypot(half, 1.0)
     if beta0 >= 0.0:
-        mu_plus = 0.5 * (beta0 + disc)
+        mu_plus = half + disc
         mu_minus = -1.0 / mu_plus
     else:
-        mu_minus = 0.5 * (beta0 - disc)
+        mu_minus = half - disc
         mu_plus = -1.0 / mu_minus
     return mu_minus, mu_plus

@@ -24,11 +24,14 @@ bit, whatever else shares a batch.  Its start and its step are written once
 for floats and arrays.  A float, or a batch of fewer than _FLOAT_BELOW (32)
 elements (the n + 1 families of profile_at, each step of the 2n handoff
 solves up to dimension 16), runs them one element at a time on floats, and
-a larger batch on arrays.  The float element returns once it is done; the
-array loop retires finished elements through _retire, which the handoff
-solve shares, as it shares the bracket step, _bracket.  Only the incomplete
-beta's continued fraction is written twice, so tests check that the float
-and array drivers return the same doubles.  That solve is a bracketed
+a larger batch on arrays.  Each tube row carries one normaliser,
+log(1 / B), which its fractions, the slope of their log density
+(_log_density) and its start scale all take.  The float element returns
+once it is done; the array loop retires finished elements, exact starts
+among them, through _retire, which the handoff solve shares, as it shares
+the bracket step, _bracket.  Only the incomplete beta's continued fraction
+is written twice, so tests check that the float and array drivers return
+the same doubles.  That solve is a bracketed
 Halley iteration on the log of the volume fraction, or of its complement
 above half volume, so radii keep their relative accuracy in both tails.  It
 stops on a relative step of 1e-14, or one evaluation earlier once Halley's
@@ -69,7 +72,7 @@ from enum import Enum
 import numpy as np
 
 from .clifford import CliffordShape, _area, _mean_curvature, area_rp
-from .specfn import _betainc_xc, _betainc_xc_vec, _check_int, _log_beta_norm
+from .specfn import _betainc_xc, _betainc_xc_vec, _check_int, _log_norm
 from .specfn import _log_sphere_area, sphere_area
 
 __all__ = [
@@ -232,7 +235,7 @@ def tube_volume(fam: TubeFamily, r: float) -> float:
         raise ValueError(f"radius must lie in [0, pi/2], got {r}")
     a, b = 0.5 * (fam.n - fam.k + 1), 0.5 * (fam.k + 1)
     s, c = np.sin(r), np.cos(r)
-    frac = float(_betainc_xc(s * s, c * c, a, b, _log_beta_norm(a, b)[1]))
+    frac = float(_betainc_xc(s * s, c * c, a, b, _log_norm(a, b)))
     return total_volume(fam.ambient_dim, fam.space) * frac
 
 
@@ -290,12 +293,15 @@ def _start_table(n: int) -> tuple[np.ndarray, ...]:
     """Constants of the tubes in dimension n, one row per mirror family
     j = 0..n, whose lower fraction is I(p, q) with p = (n - j + 1)/2 and
     q = (j + 1)/2: the per-row |S^j| |S^(n - j)|, as sphere_area gives them,
-    which _tubes reads, log B(p, q), log(1 / B(p, q)) and start scale
-    (p B(p, q))^(1/(2p)); the search keys j + i log I of each row's inner
-    nodes (the latitudes t of _START_NODES but the first and last), flat
-    and sorted by row, then log I; and, one row per family and one column
-    per node, log I and the slopes d log t / d log I = I / (t I') of the
-    inverse, which _start reads alike for a float and an array.  A node
+    which _tubes reads; the row's one normaliser ln_norm = _log_norm(p, q)
+    = log(1 / B(p, q)), under which the rows' fractions, the slopes below
+    and every Halley step of the solve are evaluated; the start scale
+    (p B(p, q))^(1/(2p)) = exp((log p - ln_norm) / (2p)); the search keys
+    j + i log I of each row's inner nodes (the latitudes t of _START_NODES
+    but the first and last), flat and sorted by row, then log I; and, one
+    row per family and one column per node, log I and the slopes
+    d log t / d log I = I / (t I') of the inverse, with log I' from
+    _log_density, which _start reads alike for a float and an array.  A node
     whose I underflows has log I = -inf, and one whose slope overflows (the
     high rows from dimension 236 on) an infinite slope; _start starts
     neither from them.  All rows come from one _betainc_xc_vec call on the
@@ -307,22 +313,22 @@ def _start_table(n: int) -> tuple[np.ndarray, ...]:
     p = 0.5 * (n + 1 - j)
     q = 0.5 * (j + 1)
     areas = np.exp(_log_sphere_area(j))
-    ln_beta, ln_norm = _log_beta_norm(p, q)
-    scale = np.exp(0.5 * (np.log(p) + ln_beta) / p)
+    ln_norm = _log_norm(p, q)
+    scale = np.exp(0.5 * (np.log(p) - ln_norm) / p)
     s = np.sin(_START_NODES)
     c = np.cos(_START_NODES)
     a, b, norm = np.repeat([p, q, ln_norm], _START_NODES.size, axis=1)
     with np.errstate(divide="ignore"):  # log 0 where I underflows
         frac = _betainc_xc_vec(np.tile(s * s, n + 1), np.tile(c * c, n + 1), a, b, norm)
         log_y = np.log(frac).reshape(n + 1, -1)
-    log_slope = _LN_2 + (n - j)[:, None] * np.log(s) + j[:, None] * np.log(c) - ln_beta[:, None]
+    log_slope = _log_density(n - j[:, None], j[:, None], s, c, ln_norm[:, None])
     with np.errstate(over="ignore"):
         slopes = np.exp(log_y - _LOG_NODES - log_slope)
     # Set by parts, since 1j * -inf has a NaN real part.
     keys = np.empty((n + 1, _START_NODES.size - 2), dtype=complex)
     keys.real = j[:, None]
     keys.imag = log_y[:, 1:-1]
-    tables = areas * areas[::-1], ln_beta, ln_norm, scale, keys.ravel(), log_y, slopes
+    tables = areas * areas[::-1], ln_norm, scale, keys.ravel(), log_y, slopes
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -376,29 +382,37 @@ def _start(n: int, row, y, scale, keys, log_y, slopes) -> tuple:
     return _where(exact, t, _where(table, start, t)), exact, table
 
 
-def _halley(pm, j, s, c, frac, y, ln_beta) -> tuple:
+def _log_density(pm, j, s, c, ln_norm):
+    """log I' = log 2 + (n - j) log sin t + j log cos t + ln_norm, the log
+    of the lower fraction's derivative in t, at s = sin t, c = cos t of
+    mirror family j, pm = n - j, with the row's ln_norm = log(1 / B(p, q)).
+    Floats or arrays that broadcast: _start_table's slopes and _halley's."""
+    return _LN_2 + pm * np.log(s) + j * np.log(c) + ln_norm
+
+
+def _halley(pm, j, s, c, frac, y, ln_norm) -> tuple:
     """(Newton step, f''/f', Halley step) at s = sin t, c = cos t of mirror
-    family j, pm = n - j, with frac = I and ln_beta = log B(p, q); the
-    Halley step may not be finite.  Floats or arrays."""
-    log_slope = _LN_2 + pm * np.log(s) + j * np.log(c) - ln_beta
-    inv_slope = np.exp(np.log(frac) - log_slope)  # 1 / f'
+    family j, pm = n - j, with frac = I under the row's ln_norm; the Halley
+    step may not be finite.  Floats or arrays."""
+    inv_slope = np.exp(np.log(frac) - _log_density(pm, j, s, c, ln_norm))  # 1 / f'
     newton = -np.log(frac / y) * inv_slope
     curv = pm * c / s - j * s / c - 1.0 / inv_slope
     return newton, curv, newton / (1.0 + 0.5 * newton * curv)
 
 
-def _step(n: int, j, y, t, lo, hi, ln_beta, ln_norm) -> tuple:
+def _step(n: int, j, y, t, lo, hi, ln_norm) -> tuple:
     """(done, t + step, next t, lo, hi): one bracketed Halley step at the
     latitude t in [lo, hi] for the lower fraction y of mirror family j, with
-    that row's ln_beta = log B(p, q) and ln_norm = log(1 / B(p, q));
-    _bracket moves the bracket and picks the next t.  An int and floats, on
-    the float incomplete beta, or arrays, on the batched one."""
+    that row's one normaliser ln_norm = log(1 / B(p, q)), which both the
+    fraction and its slope take; _bracket moves the bracket and picks the
+    next t.  An int and floats, on the float incomplete beta, or arrays, on
+    the batched one."""
     pm = n - j
     s = np.sin(t)
     c = np.cos(t)
     betainc = _betainc_xc_vec if isinstance(t, np.ndarray) else _betainc_xc
     frac = betainc(s * s, c * c, 0.5 * (pm + 1), 0.5 * (j + 1), ln_norm)
-    newton, curv, step = _halley(pm, j, s, c, frac, y, ln_beta)
+    newton, curv, step = _halley(pm, j, s, c, frac, y, ln_norm)
     step = _where(abs(step) < math.inf, step, newton)
     new, inside, next_t, lo, hi = _bracket(t, step, frac < y, lo, hi)
     size = abs(step)
@@ -457,12 +471,14 @@ def _invert_lower_fraction(n: int, row, y):
     bracket end.  Raises RuntimeError, naming the mirror families left, when
     an element is not done after _MAX_RADIUS_STEPS steps.
 
-    _start and _step take floats or arrays; the drivers differ only in how
-    a finished element retires.  A float, or a batch of fewer than
-    _FLOAT_BELOW elements, where numpy's per-call overhead outweighs the
-    arithmetic, runs one element at a time (_invert_one), which returns once
-    done; a larger batch steps all its elements at once on arrays and drops
-    the finished ones through _retire, as the handoff solve does.  The
+    _start and _step take floats or arrays, and each row's one normaliser
+    from _start_table, under which the fraction and its slope are both
+    evaluated; the drivers differ only in how a finished element retires.
+    A float, or a batch of fewer than _FLOAT_BELOW elements, where numpy's
+    per-call overhead outweighs the arithmetic, runs one element at a time
+    (_invert_one), which returns once done; a larger batch steps all its
+    elements at once on arrays and drops the finished ones, the exact
+    starts first, through _retire, as the handoff solve does.  The
     continued fraction (_betacf, _betacf_vec) is still written twice, so the
     tests check that the drivers return the same doubles and raise the same
     error.
@@ -478,20 +494,17 @@ def _invert_lower_fraction(n: int, row, y):
             left = [j for j, t in zip(rows, out) if t is None]
             out = np.array(out, dtype=float)
         else:
-            _, ln_beta, ln_norm, *table = _start_table(n)
+            _, ln_norm, *table = _start_table(n)
             t, exact, _ = _start(n, row, y, *table)
-            out = np.where(exact, t, np.nan)
-            idx = np.flatnonzero(~exact)
-            t, y, row = t[idx], y[idx], row[idx]
+            out = np.empty(y.size)
+            idx, t, y, row = _retire(out, exact, t, np.arange(y.size), t, y, row)
             lo, hi = np.zeros(idx.size), np.full(idx.size, _HALF_PI)
-            ln_beta, ln_norm = ln_beta[row], ln_norm[row]
             for _ in range(_MAX_RADIUS_STEPS):
                 if not idx.size:
                     break
-                done, new, t, lo, hi = _step(n, row, y, t, lo, hi, ln_beta, ln_norm)
+                done, new, t, lo, hi = _step(n, row, y, t, lo, hi, ln_norm[row])
                 if done.any():
-                    state = _retire(out, done, new, idx, t, y, lo, hi, row, ln_beta, ln_norm)
-                    idx, t, y, lo, hi, row, ln_beta, ln_norm = state
+                    idx, t, y, lo, hi, row = _retire(out, done, new, idx, t, y, lo, hi, row)
             left = row.tolist()
     if left:
         raise RuntimeError(
@@ -504,14 +517,14 @@ def _invert_lower_fraction(n: int, row, y):
 def _invert_one(n: int, j: int, y: float) -> float | None:
     """The float driver of _invert_lower_fraction on one element, of mirror
     family j; None when it is not done after _MAX_RADIUS_STEPS steps."""
-    _, ln_beta, ln_norm, *table = _start_table(n)
+    _, ln_norm, *table = _start_table(n)
     t, exact, _ = _start(n, j, y, *table)
     if exact:
         return t
     lo, hi = 0.0, _HALF_PI
-    ln_beta, ln_norm = ln_beta[j], ln_norm[j]
+    ln_norm = ln_norm[j]
     for _ in range(_MAX_RADIUS_STEPS):
-        done, new, t, lo, hi = _step(n, j, y, t, lo, hi, ln_beta, ln_norm)
+        done, new, t, lo, hi = _step(n, j, y, t, lo, hi, ln_norm)
         if done:
             return new
     return None

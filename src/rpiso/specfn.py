@@ -14,11 +14,14 @@ element's steps.  The incomplete beta has two paths over one prefactor
 and reflection (_front): the float element _betainc_xc, with the
 continued fraction _betacf, which the scalar entry points run, and the
 array pass _betainc_xc_vec, with _betacf_vec, which runs every batch,
-whatever its size.  Each kernel writes the Lentz update once, over the
-iteration's two partial numerators.  _betacf_vec retires each element at
-the iteration where it converges and gathers the active ones into
-shorter arrays once at most half are left, so it computes little more
-than each element's own iterations.  The quadrature refines all its
+whatever its size.  Both take one normaliser, _log_norm(a, b) =
+log(1 / B(a, b)), the double the prefactor uses; cossin_integral_closed
+takes B as its exp(-ln_norm) and the radius solve's slope adds it, so no
+caller holds a second one.  Each kernel writes the Lentz update once,
+over the iteration's two partial numerators.  _betacf_vec retires each
+element at the iteration where it converges and gathers the active ones
+into shorter arrays once at most half are left, so it computes little
+more than each element's own iterations.  The quadrature refines all its
 integrals together, level by level, and a scalar call is the batch on
 one element.
 """
@@ -137,12 +140,11 @@ def log_gamma(x: float | np.ndarray) -> float | np.ndarray:
     return out if isinstance(x, np.ndarray) else float(out)
 
 
-def _log_beta_norm(a: float | np.ndarray, b: float | np.ndarray) -> tuple:
-    """log B(a, b) and log(1 / B(a, b)), the incomplete beta's normaliser,
-    for floats a and b or 1-D arrays of one shape, from one log_gamma each
-    of a, b and a + b."""
-    ln_a, ln_b, ln_ab = log_gamma(a), log_gamma(b), log_gamma(a + b)
-    return ln_a + ln_b - ln_ab, ln_ab - ln_a - ln_b
+def _log_norm(a: float | np.ndarray, b: float | np.ndarray) -> float | np.ndarray:
+    """log(1 / B(a, b)), the incomplete beta's one normaliser, for floats a
+    and b or 1-D arrays of one shape, from one log_gamma each of a + b, a
+    and b; B(a, b) itself is exp(-_log_norm(a, b))."""
+    return log_gamma(a + b) - log_gamma(a) - log_gamma(b)
 
 
 def sphere_area(d: int) -> float:
@@ -346,8 +348,9 @@ def _betainc_xc_vec(x: np.ndarray, xc: np.ndarray, a, b, ln_norm) -> np.ndarray:
     """Regularized incomplete beta I_x(a, b) per element, with the
     complement xc = 1 - x supplied by the caller.  Passing an independently
     computed complement (for example cos^2 r alongside sin^2 r) preserves
-    accuracy near x = 1.  a, b and ln_norm = log(1 / B(a, b)), the second
-    value of _log_beta_norm(a, b), are floats, or arrays the shape of x.
+    accuracy near x = 1.  a, b and ln_norm = _log_norm(a, b) = log(1 /
+    B(a, b)), the one normaliser its callers hold, are floats, or arrays
+    the shape of x.
 
     One array pass for every batch, whatever its size: elements past the
     mean run on the reflection (see _front), and all elements share one
@@ -384,7 +387,7 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
         raise ValueError(f"reg_inc_beta requires b > 0, got {b}")
     if not (0.0 <= x <= 1.0):
         raise ValueError(f"reg_inc_beta requires 0 <= x <= 1, got {x}")
-    return float(_betainc_xc(x, 1.0 - x, a, b, _log_beta_norm(a, b)[1]))
+    return float(_betainc_xc(x, 1.0 - x, a, b, _log_norm(a, b)))
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
@@ -500,10 +503,10 @@ def cossin_integral_closed(
         (1/2) B((n2+1)/2, (n1+1)/2) * I_{sin^2 r}((n2+1)/2, (n1+1)/2).
 
     Takes ints and a float, or int and float arrays of one shape, one
-    integral per element, in one log-beta pass and one incomplete-beta
-    call.  A scalar call runs the same steps on floats, through
-    _betainc_xc, so it equals the matching element of any batch bit for
-    bit.
+    integral per element, in one normaliser pass (_log_norm, with B as
+    its exp(-ln_norm)) and one incomplete-beta call.  A scalar call runs
+    the same steps on floats, through _betainc_xc, so it equals the
+    matching element of any batch bit for bit.
     """
     n1, n2, r = _cossin_args(n1, n2, r)
     scalar = not isinstance(r, np.ndarray)
@@ -511,9 +514,9 @@ def cossin_integral_closed(
     if not scalar:
         n1, n2, r = n1.ravel(), n2.ravel(), r.ravel()
     a, b = 0.5 * (n2 + 1), 0.5 * (n1 + 1)
-    log_b, ln_norm = _log_beta_norm(a, b)
+    ln_norm = _log_norm(a, b)
     s, c = np.sin(r), np.cos(r)
-    out = 0.5 * np.exp(log_b) * (_betainc_xc if scalar else _betainc_xc_vec)(
+    out = 0.5 * np.exp(-ln_norm) * (_betainc_xc if scalar else _betainc_xc_vec)(
         s * s, c * c, a, b, ln_norm
     )
     return float(out) if scalar else out.reshape(shape)

@@ -8,6 +8,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -291,6 +292,32 @@ class TestVerifyCommand:
         assert code == 1
         assert out == ""
         assert err == "verification failure: no handoff in ambient dimension 4\n"
+
+
+class TestHelp:
+    COMMON = {"--help", "--format", "--out"}
+    FLAGS = {
+        "profile": {"--dim", "--samples", "--space"},
+        "transitions": {"--dim", "--space"},
+        "stability": {"--n1", "--n2", "--scan"},
+        "willmore": {"--dim", "--samples"},
+        "areas": {"--dim"},
+        "verify": {"--max-dim", "--samples", "--tol"},
+    }
+
+    def test_top_level_help_names_every_command(self):
+        code, out, err = run_cli(["--help"])
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: rpiso ")
+        for name in self.FLAGS:
+            assert f"\n    {name} " in out, name
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_command_help_names_its_flags(self, command):
+        code, out, err = run_cli([command, "--help"])
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: rpiso {command} ")
+        assert set(re.findall(r"--[a-z][a-z0-9-]*", out)) == self.FLAGS[command] | self.COMMON
 
 
 class TestUsageErrors:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -211,7 +212,8 @@ class TestQuadraticRoots:
         assert mu_plus == pytest.approx(2.0, rel=1e-14)
 
     def test_ordering_and_product(self):
-        for beta0 in (-12.0, -1.0, -1e-8, 0.0, 1e-8, 3.0, 50.0):
+        big = sys.float_info.max
+        for beta0 in (-big, -1e308, -12.0, -1.0, -1e-8, 0.0, 1e-8, 3.0, 50.0, 1e308, big):
             mu_minus, mu_plus = quadratic_roots(beta0)
             assert mu_minus < 0.0 < mu_plus
             assert mu_minus * mu_plus == pytest.approx(-1.0, rel=1e-14)

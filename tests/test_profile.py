@@ -323,6 +323,22 @@ class TestRadiusTails:
             ref = _mp_radius(n, n, f, r)
             assert abs(r - ref) <= 1e-13 * ref, (f, r, ref)
 
+    @pytest.mark.parametrize(
+        "dim, bound", [(10, 4.3e-15), (60, 4.9e-14), (150, 1.4e-13), (300, 3.5e-13), (436, 4.0e-13)]
+    )
+    def test_start_table_normaliser_against_mpmath(self, dim, bound):
+        # The one normaliser of every row, log(1 / B(p, q)), which the
+        # fractions, the slopes and the start scale all take, against 40
+        # digits: each bound is about 1.5 times the worst error measured.
+        mpmath = pytest.importorskip("mpmath")
+        n = dim - 1
+        ln_norm = profile._start_table(n)[1]
+        assert ln_norm.shape == (n + 1,)
+        with mpmath.workdps(40):
+            for j, value in enumerate(ln_norm.tolist()):
+                ref = -mpmath.log(mpmath.beta(mpmath.mpf(n - j + 1) / 2, mpmath.mpf(j + 1) / 2))
+                assert abs(value - ref) <= bound, (j, value, ref)
+
     def test_few_incomplete_beta_evaluations_per_solve(self, monkeypatch):
         # Table starts, Halley steps and the error-estimate stop: under one
         # and a half evaluated elements per (volume, family) radius solve on
@@ -384,7 +400,7 @@ class TestRadiusTails:
         for n in range(1, 41):
             row = rng.permutation(np.tile(np.arange(n + 1), 4))
             y = np.exp(rng.uniform(math.log(1e-300), math.log(0.5), row.size))
-            _, _, _, *start_table = profile._start_table(n)
+            _, _, *start_table = profile._start_table(n)
             with np.errstate(all="ignore"):
                 _, exact, table = profile._start(n, row, y, *start_table)
             kinds += exact.sum(), (~exact & ~table).sum(), (~exact & table).sum()
