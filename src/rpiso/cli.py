@@ -3,12 +3,13 @@ Willmore tables, Clifford areas, and the verification suite.
 
 Each subcommand is declared once, by ``_command`` on its handler: help,
 flags (their argparse types enforce every bound) and the flags echoed
-under "extras".  Reports are CSV (LF endings, every row rendered by one
-%-template per report, taken from the first row since a column holds one
-type in every row: %s for a str cell, %d for an int or a bool, which
-prints as 1 or 0, and %.17g for a float, so floats keep 17 significant
-digits) or JSON (schema_version "1", echoing the resolved
-configuration).  Exit status is 0 on success, 1 when a verification
+under "extras".  Reports are CSV (LF endings; the whole table is one
+%-format over its columns, with a row template taken from each column's
+first cell, since a column holds one type in every row: %s for a str
+cell, %d for an int or a bool, which prints as 1 or 0, and %.17g for a
+float, so floats keep 17 significant digits) or JSON (schema_version "1",
+echoing the resolved configuration).  The parser is built once per
+process.  Exit status is 0 on success, 1 when a verification
 check fails, 2 on usage errors.
 """
 
@@ -16,11 +17,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
 import sys
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,14 +49,19 @@ _WIDTH_NOTE = (
 
 
 class _Report(NamedTuple):
-    """CSV header and rows, JSON payload (built on demand), exit status.
-    Rows are tuples; a column holds one type in every row: str, int, bool
-    or float."""
+    """CSV header and columns, JSON payload (built on demand), exit status.
+    One column per header name, all of one length; a column holds one type
+    in every row: str, int, bool or float."""
 
     header: list[str]
-    rows: list[tuple]
+    columns: Sequence[Sequence]
     payload: Callable[[], dict]
     status: int = 0
+
+
+def _records(header: list[str], columns: Sequence[Sequence]) -> list[dict]:
+    """One dict per row, keyed by the header: a report's rows for JSON."""
+    return [dict(zip(header, row)) for row in zip(*columns)]
 
 
 def _int_range(minimum: int, maximum: int | None = None) -> Callable[[str], int]:
@@ -125,13 +132,13 @@ def _command(name: str, summary: str, *flags, extras: tuple[str, ...] = ()):
 def _profile(args: argparse.Namespace) -> _Report:
     space = Space(args.space)
     header = ["volume", "perimeter", "best_k", "best_r"]
-    rows = list(zip(*_profile_columns(args.dim, args.samples, space)))
+    columns = _profile_columns(args.dim, args.samples, space)
     return _Report(
         header,
-        rows,
+        columns,
         lambda: {
             "total_volume": total_volume(args.dim, space),
-            "points": [dict(zip(header, row)) for row in rows],
+            "points": _records(header, columns),
         },
     )
 
@@ -142,13 +149,13 @@ def _profile(args: argparse.Namespace) -> _Report:
 def _transitions(args: argparse.Namespace) -> _Report:
     space = Space(args.space)
     header = ["k", "k_next", "volume"]
-    rows = transition_volumes(args.dim, space)
+    columns = list(zip(*transition_volumes(args.dim, space)))
     return _Report(
         header,
-        rows,
+        columns,
         lambda: {
             "total_volume": total_volume(args.dim, space),
-            "transitions": [dict(zip(header, row)) for row in rows],
+            "transitions": _records(header, columns),
         },
     )
 
@@ -167,14 +174,14 @@ def _stability(args: argparse.Namespace) -> _Report:
     report = stability_report(CliffordShape(args.n1, args.n2, rs))
     inside = (report.interval_lo <= rs) & (rs <= report.interval_hi)
     header = ["r", "lambda1", "margin", "in_interval"]
-    rows = list(zip(rs.tolist(), report.lambda1.tolist(), report.margin.tolist(), inside.tolist()))
+    columns = rs.tolist(), report.lambda1.tolist(), report.margin.tolist(), inside.tolist()
     return _Report(
         header,
-        rows,
+        columns,
         lambda: {
             "interval_lo": report.interval_lo,
             "interval_hi": report.interval_hi,
-            "points": [dict(zip(header, row)) for row in rows],
+            "points": _records(header, columns),
         },
     )
 
@@ -188,10 +195,10 @@ def _stability(args: argparse.Namespace) -> _Report:
 )
 def _willmore(args: argparse.Namespace) -> _Report:
     report = willmore_report(args.n, args.samples)
-    columns = ["n", "sigma_n", "min_energy", "argmin_k", "argmin_r", "chain_ok", "convexity_ok"]
+    header = ["n", "sigma_n", "min_energy", "argmin_k", "argmin_r", "chain_ok", "convexity_ok"]
     return _Report(
-        columns,
-        [tuple(getattr(report, name) for name in columns)],
+        header,
+        [[getattr(report, name)] for name in header],
         lambda: {"report": dataclasses.asdict(report), "note": _WIDTH_NOTE},
     )
 
@@ -205,14 +212,14 @@ def _willmore(args: argparse.Namespace) -> _Report:
 def _areas(args: argparse.Namespace) -> _Report:
     n = args.n
     header = ["p", "area"]
-    rows = list(zip(range(1, n), clifford_area_f(n, np.arange(1.0, n)).tolist()))
+    columns = list(range(1, n)), clifford_area_f(n, np.arange(1.0, n)).tolist()
     return _Report(
         header,
-        rows,
+        columns,
         lambda: {
             "two_sphere_bound": 2.0 * sphere_area(n),
             "balanced_minimum": width_candidate(n),
-            "areas": [dict(zip(header, row)) for row in rows],
+            "areas": _records(header, columns),
             "note": _WIDTH_NOTE,
         },
     )
@@ -235,7 +242,11 @@ def _verify(args: argparse.Namespace) -> _Report:
     all_passed = all(r.passed for r in results)
     return _Report(
         ["name", "passed", "detail"],
-        [(r.name, r.passed, r.detail.replace(",", ";")) for r in results],
+        [
+            [r.name for r in results],
+            [r.passed for r in results],
+            [r.detail.replace(",", ";") for r in results],
+        ],
         lambda: {"checks": [dataclasses.asdict(r) for r in results], "all_passed": all_passed},
         0 if all_passed else 1,
     )
@@ -244,12 +255,17 @@ def _verify(args: argparse.Namespace) -> _Report:
 def _write_report(args: argparse.Namespace, report: _Report) -> None:
     """Render the report in --format and write it to --out or stdout."""
     if args.format == "csv":
+        columns = report.columns
         # A bool is an int, and '%d' % True is "1".
         row = ",".join(
-            "%s" if isinstance(x, str) else "%d" if isinstance(x, int) else "%.17g"
-            for x in report.rows[0]
+            "%s" if isinstance(c[0], str) else "%d" if isinstance(c[0], int) else "%.17g"
+            for c in columns
         )
-        text = "\n".join([",".join(report.header), *map(row.__mod__, report.rows)]) + "\n"
+        # Row-major cells, the columns interleaved.
+        cells = [None] * (len(columns) * len(columns[0]))
+        for i, column in enumerate(columns):
+            cells[i :: len(columns)] = column
+        text = ",".join(report.header) + "\n" + (row + "\n") * len(columns[0]) % tuple(cells)
     else:
         config = {
             "command": args.command,
@@ -289,9 +305,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built once per process, since a build costs
+    about ten parses.  Parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

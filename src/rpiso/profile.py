@@ -50,8 +50,10 @@ The envelope solves only the families that can be lowest.  Each P_k is
 concave in v, since dP/dV = n H and the mean curvature H decreases as the
 tube grows.  So between two volumes P_k lies above its chord and below its
 end tangents: every family is solved at every 16th volume, and in between
-only where its chord comes within 1e-9 (relative) of the lowest tangent of
-any family.  The answers equal the argmin over all families bit for bit.
+all along the interval, unless its chord stays more than 1e-9 (relative)
+above both tangents of the family lowest at one end of it, which three
+points of the interval certify.  The answers equal the argmin over all
+families bit for bit.
 
 The handoff from family k to k + 1 is the root of the perimeter gap
 P_k - P_{k+1} over the volume fraction, solved by a bracketed Newton
@@ -129,9 +131,10 @@ _T_MAX = math.nextafter(_HALF_PI, 0.0)
 _HANDOFF_TOL = 1e-10
 _MAX_HANDOFF_STEPS = 50
 
-# _envelope solves every family at every _NODE_STRIDE-th volume and, in
-# between, only the families whose chord comes within _PRUNE_MARGIN
-# (relative) of the lowest end tangent.
+# _envelope solves every family at every _NODE_STRIDE-th volume and, at the
+# volumes between two such nodes, every family but those whose chord there
+# stays more than _PRUNE_MARGIN (relative) above the end tangents of the
+# family lowest at one of the two nodes.
 _NODE_STRIDE = 16
 _PRUNE_MARGIN = 1e-9
 
@@ -298,8 +301,8 @@ def _start_table(n: int) -> tuple[np.ndarray, ...]:
     and every Halley step of the solve are evaluated; the start scale
     (p B(p, q))^(1/(2p)) = exp((log p - ln_norm) / (2p)); the search keys
     j + i log I of each row's inner nodes (the latitudes t of _START_NODES
-    but the first and last), flat and sorted by row, then log I; and, one
-    row per family and one column per node, log I and the slopes
+    but the first and last), flat and sorted by row, then log I; and, flat
+    with node i of row j at j * _START_NODES.size + i, log I and the slopes
     d log t / d log I = I / (t I') of the inverse, with log I' from
     _log_density, which _start reads alike for a float and an array.  A node
     whose I underflows has log I = -inf, and one whose slope overflows (the
@@ -328,7 +331,7 @@ def _start_table(n: int) -> tuple[np.ndarray, ...]:
     keys = np.empty((n + 1, _START_NODES.size - 2), dtype=complex)
     keys.real = j[:, None]
     keys.imag = log_y[:, 1:-1]
-    tables = areas * areas[::-1], ln_norm, scale, keys.ravel(), log_y, slopes
+    tables = areas * areas[::-1], ln_norm, scale, keys.ravel(), log_y.ravel(), slopes.ravel()
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -365,17 +368,18 @@ def _start(n: int, row, y, scale, keys, log_y, slopes) -> tuple:
     last one) is finite, clipped into (0, pi/2); else it is the asymptote
     capped at 1.2.  An int and a float, or arrays, through the same calls
     with no type branch: interval i counts the row's inner nodes at or below
-    log y, by one searchsorted over all rows' keys, and the root is
-    np.float_power (_asymptote).  So both drivers start from the same
-    doubles by construction; only the continued fraction is written twice
-    (_invert_lower_fraction)."""
+    log y, by one searchsorted over all rows' keys, one flat index reads the
+    tables at it, and the root is np.float_power (_asymptote).  So both
+    drivers start from the same doubles by construction; only the continued
+    fraction is written twice (_invert_lower_fraction)."""
     u = np.log(y)
     i = keys.searchsorted(row + 1j * u, side="right") - row * (_START_NODES.size - 2)
     t, exact = _asymptote(n, np.float_power(y, 1.0 / (n + 1 - row)), scale[row])
-    u0, u1, m0, m1 = log_y[row, i], log_y[row, i + 1], slopes[row, i], slopes[row, i + 1]
+    at = row * _START_NODES.size + i  # node i of the row in the flat tables
+    u0, u1, m0, m1 = log_y[at], log_y[at + 1], slopes[at], slopes[at + 1]
     log_t = _hermite(u, u0, u1, _LOG_NODES[i], _LOG_NODES[i + 1], m0, m1)
     # At or above the row's first node, and finite.
-    table = (log_y[row, 0] <= u) & (abs(log_t) < math.inf)
+    table = (log_y[at - i] <= u) & (abs(log_t) < math.inf)
     start = np.exp(log_t)
     start = _where(start < sys.float_info.min, sys.float_info.min, start)
     start = _where(start > _T_MAX, _T_MAX, start)
@@ -572,14 +576,17 @@ def _envelope(
     in v: dP/dV = n H, and H decreases as r, and with it v, grows.  So on an
     interval between two volumes a and b, P_k lies above its chord and
     below both its end tangents.  Every family is solved at the nodes,
-    every _NODE_STRIDE-th volume plus the last.  Between the nodes, family
-    k is solved at v only when its chord is at most (1 + _PRUNE_MARGIN)
-    times the smallest end tangent of any family, plus 1e-12 of the bounds'
-    largest term for their rounding.  A family skipped at v lies above its
-    chord, and so above the family of that tangent, by more than rounding:
-    strictly above the lowest one, so ties still go to the smallest k.
-    Each element is solved on its own, so the solved ones equal their
-    entries in the full table.  The bounds are used only when some volume
+    every _NODE_STRIDE-th volume plus the last.  Between two adjacent
+    nodes, family k is skipped at every volume when _above_lowest certifies
+    it above the family lowest at a or the one lowest at b, and solved at
+    every volume otherwise.  A skipped family lies above its chord, and so
+    above that lowest family, by more than rounding: strictly above the
+    argmin, so ties still go to the smallest k.  Each element is solved on
+    its own, so the solved ones equal their entries in the full table.  The
+    certificate works on one column per interval, not per volume; it solves
+    a few more radii than one per volume would, most where an interval
+    holds several handoffs (the 100-volume grid at dimension 436, with 7
+    intervals).  The bounds are used only when some volume
     lies between nodes, and only then does it raise RuntimeError if some
     family's slope does not decrease over the nodes, since the bounds would
     not hold.  One or two volumes (profile_at's one, say) are all nodes:
@@ -592,7 +599,6 @@ def _envelope(
     is_node[::_NODE_STRIDE] = True
     is_node[-1] = True
     nodes = np.flatnonzero(is_node)
-    inner = np.flatnonzero(~is_node)
     # Unsolved entries stay at inf and never win the argmin.
     perims = np.full((n + 1, v.size), np.inf)
     radii = np.zeros((n + 1, v.size))
@@ -601,31 +607,57 @@ def _envelope(
     col = nodes[col]
     perims[fam, col], radii[fam, col], curvature = _tubes(n, fam, y[col], upper[col])
     # One or two volumes are all nodes, and no bound is used.
-    if inner.size:
+    if nodes.size < v.size:
         slope = n * curvature().reshape(n + 1, nodes.size)
-        with np.errstate(invalid="ignore", over="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if np.any(np.diff(slope, axis=1) > 1e-9 * np.abs(slope[:, :-1])):
                 raise RuntimeError(
                     f"tube perimeter slopes increase with volume in ambient dimension "
                     f"{ambient_dim}: the perimeters are not concave, so no family can be skipped"
                 )
-            right = np.searchsorted(nodes, inner)
-            left = right - 1
-            x, va, vb = v[inner], v[nodes[left]], v[nodes[right]]
-            pa, pb = perims[:, nodes[left]], perims[:, nodes[right]]
-            ta = slope[:, left] * (x - va)
-            tb = slope[:, right] * (x - vb)
-            chord = pa + (pb - pa) * ((x - va) / (vb - va))
-            cap = np.min(np.minimum(pa + ta, pb + tb), axis=0)
-            slack = 1e-12 * np.max(pa + pb + np.abs(ta) + np.abs(tb), axis=0)
-            # NaN or infinite bounds, at the tiniest latitudes, drop nothing.
-            fam, col = np.nonzero(~(chord > (1.0 + _PRUNE_MARGIN) * cap + slack))
+            fam, gap = np.nonzero(~_above_lowest(perims[:, nodes], slope, np.diff(v[nodes])))
+        # Each surviving (family, interval) pair at every volume inside it:
+        # the interval's first inner volume, less the inner volumes of the
+        # pairs before it, plus a running index.
+        count = np.diff(nodes)[gap] - 1
+        first = np.repeat(nodes[gap] + 1 - (np.cumsum(count) - count), count)
+        fam, col = np.repeat(fam, count), first + np.arange(first.size)
         if col.size:
-            col = inner[col]
             perims[fam, col], radii[fam, col], _ = _tubes(n, fam, y[col], upper[col])
     best = np.argmin(perims, axis=0)
     cols = np.arange(v.size)
     return best, perims[best, cols], radii[best, cols]
+
+
+def _above_lowest(p: np.ndarray, slope: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Whether family k is certified above the family lowest at a, or above
+    the one lowest at b, on each interval [a, b] between adjacent nodes:
+    p and slope hold every family's perimeter and dP/dV at the nodes, one
+    row per family, and h the intervals' widths b - a.  P_k lies above its
+    chord, and a family j below both its end tangents, so k lies above j
+    where chord_k - (1 + _PRUNE_MARGIN) min(tangents of j) exceeds 1e-12 of
+    the interval's largest term, for rounding.  That difference is convex
+    and piecewise linear, so it is checked at a, at b and where j's tangents
+    cross, clamped into [a, b].  A NaN or infinite term, at the tiniest
+    latitudes, makes the slack NaN or infinite, so it certifies nothing on
+    its intervals."""
+    pa, pb, sa, sb = p[:, :-1], p[:, 1:], slope[:, :-1], slope[:, 1:]
+    slack = 1e-12 * np.max(pa + pb + (np.abs(sa) + np.abs(sb)) * h, axis=0)
+    low = np.argmin(p, axis=0)
+    # Family j's terms, for j the family lowest at a, then the one at b.
+    j = np.stack([low[:-1], low[1:]])[:, None]
+    gap = np.arange(h.size)
+    ja, jb, ta, tb = pa[j, gap], pb[j, gap], sa[j, gap], sb[j, gap]
+    # Each tangent of j at the far end of the interval.
+    ra, rb = ja + ta * h, jb - tb * h
+    # Where they cross, at u = v - a, both tangents are ja + ta u; a
+    # clamped crossing is an end, where the end checks take the lower.
+    u = np.clip((rb - ja) / (ta - tb), 0.0, h)
+    scale = 1.0 + _PRUNE_MARGIN
+    cross = pa + (pb - pa) * (u / h) - scale * (ja + ta * u)
+    ends = np.minimum(pa - scale * np.minimum(ja, rb), pb - scale * np.minimum(ra, jb))
+    # np.minimum keeps a NaN, which certifies nothing.
+    return np.any(np.minimum(ends, cross) > slack, axis=0)
 
 
 def profile_at(

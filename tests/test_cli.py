@@ -13,9 +13,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rpiso import cli
-from rpiso.cli import _Report, _write_report, main
+from rpiso.cli import _Report, _write_report, build_parser, main
 from rpiso.profile import CrossingNotFound, Space, profile_curve
 
 
@@ -120,21 +122,73 @@ class TestWriteReport:
     def test_csv_cells(self):
         """Every non-str cell prints with 17 significant digits, a bool as
         1 or 0 and an int as its digits; a str cell prints as it is."""
-        rows = [
-            (True, 0, 0.1, 1e-300, math.inf, np.float64(2.0 / 3.0), "first row"),
-            (False, -3, -0.0, 5e-324, math.nan, np.float64(1e300), "second"),
-            (True, 123456789, 1.0, 2.5, -math.inf, np.float64(-0.0), "x%sy"),
+        columns = [
+            [True, False, True],
+            [0, -3, 123456789],
+            [0.1, -0.0, 1.0],
+            [1e-300, 5e-324, 2.5],
+            [math.inf, math.nan, -math.inf],
+            [np.float64(2.0 / 3.0), np.float64(1e300), np.float64(-0.0)],
+            ["first row", "second", "x%sy"],
         ]
         args = argparse.Namespace(format="csv", out=None)
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            _write_report(args, _Report(list("abcdefg"), rows, dict))
+            _write_report(args, _Report(list("abcdefg"), columns, dict))
         assert out.getvalue() == (
             "a,b,c,d,e,f,g\n"
             "1,0,0.10000000000000001,1e-300,inf,0.66666666666666663,first row\n"
             "0,-3,-0,4.9406564584124654e-324,nan,1.0000000000000001e+300,second\n"
             "1,123456789,1,2.5,-inf,-0,x%sy\n"
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_csv_equals_row_by_row_rendering(self, data):
+        """The one-format table equals the row-by-row rendering: a
+        %-template from the first row's cells, applied to each row, the rows
+        joined by newlines."""
+        cell = {
+            float: st.floats(allow_subnormal=True)
+            | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2e-308]),
+            int: st.integers(-(10**20), 10**20),
+            bool: st.booleans(),
+            str: st.text(st.sampled_from("ab,%s %d\\"), max_size=8)
+            | st.sampled_from(["%", "%s", ",", "%%", "a,b%s"]),
+        }
+        kinds = data.draw(st.lists(st.sampled_from(list(cell)), min_size=1, max_size=6))
+        nrows = data.draw(st.integers(1, 12))
+        columns = [
+            data.draw(st.lists(cell[kind], min_size=nrows, max_size=nrows)) for kind in kinds
+        ]
+        header = [f"c{i}" for i in range(len(columns))]
+        rows = list(zip(*columns))
+        row = ",".join(
+            "%s" if isinstance(x, str) else "%d" if isinstance(x, int) else "%.17g"
+            for x in rows[0]
+        )
+        want = "\n".join([",".join(header), *map(row.__mod__, rows)]) + "\n"
+        args = argparse.Namespace(format="csv", out=None)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            _write_report(args, _Report(header, columns, dict))
+        assert out.getvalue() == want
+
+
+class TestParser:
+    def test_build_parser_returns_a_new_parser_each_call(self):
+        assert build_parser() is not build_parser()
+
+    def test_main_parses_with_one_cached_parser(self):
+        assert cli._parser() is cli._parser()
+
+    def test_parsing_leaves_no_state_behind(self, tmp_path):
+        out = str(tmp_path / "report.csv")
+        first = cli._parser().parse_args(["verify", "--tol", "profile_symmetry=1e-3", "--out", out])
+        assert first.tol == [("profile_symmetry", 1e-3)] and first.out == out
+        second = cli._parser().parse_args(["verify"])
+        assert second.tol == [] and second.out is None
+        assert first.tol == [("profile_symmetry", 1e-3)]
 
 
 class TestTransitionsCommand:

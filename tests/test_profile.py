@@ -668,6 +668,69 @@ class TestPrunedEnvelope:
         for got, want in zip(envelope, _full_argmin(dim, volumes)):
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("dim,samples", [(100, 300), (436, 100)])
+    def test_intervals_holding_several_handoffs_equal_full_argmin(self, dim, samples):
+        # On these grids one interval between nodes holds several handoffs,
+        # so the family lowest at either end is not the one lowest inside.
+        volumes = profile._volume_grid(total_volume(dim), samples)
+        envelope = profile._envelope(dim, volumes, total_volume(dim))
+        assert np.max(np.diff(envelope[0][:: profile._NODE_STRIDE])) > 1
+        for got, want in zip(envelope, _full_argmin(dim, volumes)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("level,certified", [(1.5, False), (2.5, True)])
+    def test_certificate_checks_where_the_tangents_cross(self, level, certified):
+        # Family 0 runs from 1 to 1 on [0, 1] with end slopes 2 and -2, so
+        # its tangents cross at 1/2, at height 2.  A flat family 1 at 1.5
+        # clears them at both ends but not at the crossing.
+        p = np.array([[1.0, 1.0], [level, level]])
+        slope = np.array([[2.0, -2.0], [0.0, 0.0]])
+        above = profile._above_lowest(p, slope, np.array([1.0]))
+        assert above.tolist() == [[False], [certified]]
+
+    def test_infinite_slope_solves_both_intervals_next_to_its_node(self, monkeypatch):
+        # An infinite mean curvature of one family at one node certifies
+        # nothing: every family is solved at every volume of the intervals on
+        # both sides.  The node lies above half volume, where the tube's
+        # slope is the negated curvature of its mirror shape: -inf keeps the
+        # slopes decreasing, so the concavity test passes.
+        dim, samples, k, node = 10, 200, 4, 9
+        n = dim - 1
+        total = total_volume(dim)
+        volumes = profile._volume_grid(total, samples)
+        y, upper = profile._split(volumes, total)
+        column = {(a, b): i for i, (a, b) in enumerate(zip(y.tolist(), upper.tolist()))}
+        stride = profile._NODE_STRIDE
+        assert upper[node * stride]
+        inner = [i for i in range((node - 1) * stride, (node + 1) * stride + 1) if i % stride]
+        solved = set()
+        tubes = profile._tubes
+
+        def spy(n, fam, y, upper):
+            solved.update(
+                (j, column[a, b]) for j, a, b in zip(fam.tolist(), y.tolist(), upper.tolist())
+            )
+            return tubes(n, fam, y, upper)
+
+        monkeypatch.setattr(profile, "_tubes", spy)
+        want = profile._envelope(dim, volumes, total)
+        everything = {(j, i) for j in range(n + 1) for i in inner}
+        assert not everything <= solved  # the certificate skips some there
+        mean = profile._mean_curvature
+        nodes = np.union1d(np.arange(0, samples, stride), samples - 1).size
+
+        def infinite_at_node(*args):
+            out = mean(*args)
+            out[k * nodes + node] = math.inf
+            return out
+
+        monkeypatch.setattr(profile, "_mean_curvature", infinite_at_node)
+        solved.clear()
+        got = profile._envelope(dim, volumes, total)
+        assert everything <= solved
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
     @pytest.mark.parametrize("dim", [3, 10, 40])
     @pytest.mark.parametrize("size", [1, 2, 17, 18])
     def test_small_batches_equal_full_argmin(self, dim, size):
